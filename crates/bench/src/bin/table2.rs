@@ -8,19 +8,17 @@
 //! plus the oracle-call and cache statistics of the cone-parallel
 //! oracle.
 //!
-//! Rows run concurrently (`--jobs`, default: available parallelism);
-//! `--compare` additionally runs each row under the exact-key cache at
-//! one thread (the original behaviour), the dominance cache at one
-//! thread, and the dominance cache at `--threads` — the two axes the
-//! oracle rework added. Every run is appended to a machine-readable
-//! JSON report (`--json`, default `BENCH_reqtime.json`).
+//! Rows run concurrently (`--jobs`, default: available parallelism),
+//! each with `--threads` oracle workers (`@N`); `--compare` also runs
+//! each row at one thread (`@1`). Every run is appended to a
+//! machine-readable JSON report (`--json`, default
+//! `BENCH_reqtime.json`).
 //!
-//! With `--compare`, each `dominance@N` row also reports
-//! `speedup_vs_serial` (dominance@1 wall / dominance@N wall) and
-//! `oracle_call_ratio` (dominance@N calls / dominance@1 calls) — the
-//! two scaling invariants of the parallel oracle. `--baseline OLD.json`
-//! diffs the fresh run against a previous report and prints per-circuit
-//! wall/call regressions.
+//! With `--compare`, each `@N` row also reports `speedup_vs_serial`
+//! (`@1` wall / `@N` wall) and `oracle_call_ratio` (`@N` calls / `@1`
+//! calls) — the two scaling invariants of the parallel oracle.
+//! `--baseline OLD.json` diffs the fresh run against a previous report
+//! and prints per-circuit wall/call regressions.
 //!
 //! Usage:
 //!
@@ -34,16 +32,16 @@ use std::time::Duration;
 
 use xrta_bench::{print_table, run_approx2_with, zero_required, RunOutcome};
 use xrta_circuits::{carry_skip_adder, iscas_rows, ripple_carry_adder};
-use xrta_core::{slice_cones, CacheStrategy};
+use xrta_core::slice_cones;
 use xrta_network::Network;
 use xrta_resynth::{resynthesize, DelaySpec, ResynthOptions};
+use xrta_robust::jsonflat::{escape, Fields};
 use xrta_timing::UnitDelay;
 
 /// One (circuit, configuration) run for the table and the JSON report.
 struct Record {
     circuit: String,
     config: &'static str,
-    cache: CacheStrategy,
     threads: usize,
     nontrivial: bool,
     completed: bool,
@@ -67,10 +65,10 @@ struct Record {
     /// Cones answered from an earlier cone's verdict within one pass:
     /// `cones - cone_distinct`, the intra-netlist cone-hit floor.
     cone_dup_hits: usize,
-    /// dominance@1 wall / this wall, for `dominance@N` rows when the
-    /// serial twin ran in the same invocation (`--compare`).
+    /// `@1` wall / this wall, for `@N` rows when the serial twin ran in
+    /// the same invocation (`--compare`).
     speedup_vs_serial: Option<f64>,
-    /// This run's oracle calls / dominance@1 calls, same conditions.
+    /// This run's oracle calls / `@1` calls, same conditions.
     oracle_call_ratio: Option<f64>,
     /// High-water mark of the process-global memory meter over this
     /// row's run, bytes. Rows share one meter, so with `--jobs > 1`
@@ -134,17 +132,6 @@ fn run_resynth_rows() -> Vec<ResynthRecord> {
         .collect()
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 fn render_json(budget: Duration, records: &[Record], resynth: &[ResynthRecord]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{{");
@@ -169,8 +156,8 @@ fn render_json(budget: Duration, records: &[Record], resynth: &[ResynthRecord]) 
         };
         let _ = writeln!(
             out,
-            "    {{\"circuit\": \"{}\", \"config\": \"{}\", \"cache\": \"{}\", \
-             \"threads\": {}, \"nontrivial\": {}, \"completed\": {}, \
+            "    {{\"circuit\": \"{}\", \"config\": \"{}\", \"threads\": {}, \
+             \"nontrivial\": {}, \"completed\": {}, \
              \"first_nontrivial_secs\": {}, \"wall_secs\": {:.4}, \
              \"oracle_calls\": {}, \"cache_hits\": {}, \"cache_hit_rate\": {:.4}, \
              \"steals\": {}, \"shard_contention\": {}, \"batches\": {}, \
@@ -178,12 +165,8 @@ fn render_json(budget: Duration, records: &[Record], resynth: &[ResynthRecord]) 
              \"cones\": {}, \"cone_distinct\": {}, \"cone_dup_hits\": {}, \
              \"speedup_vs_serial\": {}, \"oracle_call_ratio\": {}, \
              \"peak_mem\": {}}}{}",
-            json_escape(&r.circuit),
+            escape(&r.circuit),
             r.config,
-            match r.cache {
-                CacheStrategy::Exact => "exact",
-                CacheStrategy::Dominance => "dominance",
-            },
             r.threads,
             r.nontrivial,
             r.completed,
@@ -214,7 +197,7 @@ fn render_json(budget: Duration, records: &[Record], resynth: &[ResynthRecord]) 
             "    {{\"netlist\": \"{}\", \"worst_before\": {}, \"worst_after\": {}, \
              \"gain\": {}, \"chains_improved\": {}, \"verified\": {}, \
              \"wall_secs\": {:.4}}}{}",
-            json_escape(&r.netlist),
+            escape(&r.netlist),
             r.worst_before,
             r.worst_after,
             r.gain,
@@ -234,28 +217,34 @@ fn render_json(budget: Duration, records: &[Record], resynth: &[ResynthRecord]) 
 /// before the column existed.
 type BaselineRow = (String, String, f64, usize, u64);
 
-/// Extracts the rows of a report this binary wrote earlier. The format
-/// is our own (one row object per line), so a line-oriented field
-/// scraper is enough — no JSON dependency in the offline workspace.
-fn parse_baseline(text: &str) -> Vec<BaselineRow> {
-    fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-        let pat = format!("\"{key}\": ");
-        let at = line.find(&pat)? + pat.len();
-        let rest = &line[at..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim().trim_matches('"'))
-    }
+/// The row objects carrying `key` in a report this binary wrote
+/// earlier. Every row is one flat object on its own line, so each line
+/// goes through the workspace's flat-JSON parser.
+fn report_rows(text: &str, key: &str) -> Vec<Fields> {
     text.lines()
-        .filter(|l| l.contains("\"circuit\""))
-        .filter_map(|l| {
+        .filter_map(|l| Fields::parse(l.trim().trim_end_matches(',')).ok())
+        .filter(|f| f.opt(key).is_some())
+        .collect()
+}
+
+/// Extracts the circuit rows of a previous report. Reports written
+/// while the cache strategy was a setting label their rows
+/// `dominance@1`/`dominance@N` (the one strategy left) and
+/// `exact@1`; the former read as `@1`/`@N`, the latter match nothing.
+fn parse_baseline(text: &str) -> Vec<BaselineRow> {
+    report_rows(text, "circuit")
+        .iter()
+        .filter_map(|f| {
+            let config = f.opt("config")?;
             Some((
-                field(l, "circuit")?.to_string(),
-                field(l, "config")?.to_string(),
-                field(l, "wall_secs")?.parse().ok()?,
-                field(l, "oracle_calls")?.parse().ok()?,
-                field(l, "peak_mem")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(0),
+                f.opt("circuit")?.to_string(),
+                config
+                    .strip_prefix("dominance")
+                    .unwrap_or(config)
+                    .to_string(),
+                f.opt("wall_secs")?.parse().ok()?,
+                f.opt("oracle_calls")?.parse().ok()?,
+                f.opt("peak_mem").and_then(|v| v.parse().ok()).unwrap_or(0),
             ))
         })
         .collect()
@@ -318,6 +307,10 @@ fn print_baseline_diff(baseline: &[BaselineRow], records: &[Record]) {
             if regressed { "REGRESSED" } else { "ok" }.to_string(),
         ]);
     }
+    if rows.is_empty() {
+        println!("(baseline has no rows matching this run; diff skipped)");
+        return;
+    }
     print_table(
         &[
             "circuit",
@@ -345,20 +338,13 @@ fn print_baseline_diff(baseline: &[BaselineRow], records: &[Record]) {
 /// gain)`. Empty for reports written before the resynthesis bench
 /// existed.
 fn parse_baseline_resynth(text: &str) -> Vec<(String, i64, i64)> {
-    fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-        let pat = format!("\"{key}\": ");
-        let at = line.find(&pat)? + pat.len();
-        let rest = &line[at..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim().trim_matches('"'))
-    }
-    text.lines()
-        .filter(|l| l.contains("\"netlist\""))
-        .filter_map(|l| {
+    report_rows(text, "netlist")
+        .iter()
+        .filter_map(|f| {
             Some((
-                field(l, "netlist")?.to_string(),
-                field(l, "worst_after")?.parse().ok()?,
-                field(l, "gain")?.parse().ok()?,
+                f.opt("netlist")?.to_string(),
+                f.opt("worst_after")?.parse().ok()?,
+                f.opt("gain")?.parse().ok()?,
             ))
         })
         .collect()
@@ -473,19 +459,15 @@ fn main() {
     println!("(surrogate circuits; unit delay; req(PO) = 0; see DESIGN.md §3)");
     println!("per-row budget = {budget:?}, row jobs = {jobs}, oracle threads = {threads}\n");
 
-    // Configurations per row: the comparison axes of the oracle rework,
-    // or just the default (dominance cache, `--threads` workers).
-    let configs: Vec<(&'static str, usize, CacheStrategy)> = if compare {
-        vec![
-            ("exact@1", 1, CacheStrategy::Exact),
-            ("dominance@1", 1, CacheStrategy::Dominance),
-            ("dominance@N", threads, CacheStrategy::Dominance),
-        ]
+    // Configurations per row: one oracle thread and `--threads`, or
+    // just the latter.
+    let configs: Vec<(&'static str, usize)> = if compare {
+        vec![("@1", 1), ("@N", threads)]
     } else {
-        vec![("dominance@N", threads, CacheStrategy::Dominance)]
+        vec![("@N", threads)]
     };
 
-    let work: Vec<(String, &'static str, usize, CacheStrategy)> = iscas_rows()
+    let work: Vec<(String, &'static str, usize)> = iscas_rows()
         .iter()
         .filter(|row| {
             row_filter
@@ -495,7 +477,7 @@ fn main() {
         .flat_map(|row| {
             configs
                 .iter()
-                .map(|&(label, t, cache)| (row.name.to_string(), label, t, cache))
+                .map(|&(label, t)| (row.name.to_string(), label, t))
         })
         .collect();
 
@@ -510,7 +492,7 @@ fn main() {
                 let work = &work;
                 s.spawn(move || {
                     let mut done = Vec::new();
-                    for (k, (name, label, t, cache)) in work.iter().enumerate() {
+                    for (k, (name, label, t)) in work.iter().enumerate() {
                         if k % workers != w {
                             continue;
                         }
@@ -529,14 +511,13 @@ fn main() {
                         drop(slices);
                         let meter = xrta_robust::mem::global();
                         meter.reset_peaks();
-                        let rep = run_approx2_with(&net, budget, *t, *cache);
+                        let rep = run_approx2_with(&net, budget, *t);
                         let peak_mem = meter.total_peak();
                         done.push((
                             k,
                             Record {
                                 circuit: name.clone(),
                                 config: label,
-                                cache: *cache,
                                 threads: rep.threads_used,
                                 nontrivial: rep.outcome.nontrivial(),
                                 completed: matches!(rep.outcome, RunOutcome::Done { .. }),
@@ -571,15 +552,15 @@ fn main() {
     });
     let mut records: Vec<Record> = records.into_iter().flatten().collect();
 
-    // Scaling invariants: relate every `dominance@N` row to its serial
-    // twin from the same invocation.
+    // Scaling invariants: relate every `@N` row to its serial twin from
+    // the same invocation.
     let serial: Vec<(String, f64, usize)> = records
         .iter()
-        .filter(|r| r.config == "dominance@1")
+        .filter(|r| r.config == "@1")
         .map(|r| (r.circuit.clone(), r.wall_s, r.oracle_calls))
         .collect();
     for r in &mut records {
-        if r.config != "dominance@N" {
+        if r.config != "@N" {
             continue;
         }
         if let Some((_, w1, c1)) = serial.iter().find(|(c, _, _)| *c == r.circuit) {
@@ -680,4 +661,79 @@ fn main() {
     xrta_robust::fsio::atomic_write(std::path::Path::new(&json_path), json.as_bytes())
         .expect("write JSON report");
     println!("\nwrote {json_path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn record(circuit: &str, config: &'static str, wall_s: f64, oracle_calls: usize) -> Record {
+        Record {
+            circuit: circuit.to_string(),
+            config,
+            threads: 2,
+            nontrivial: true,
+            completed: true,
+            first_s: Some(0.5),
+            wall_s,
+            oracle_calls,
+            cache_hits: 3,
+            cache_hit_rate: 0.25,
+            steals: 0,
+            shard_contention: 0,
+            batches: 2,
+            batched_probes: 4,
+            spec_probes: 1,
+            cones: 7,
+            cone_distinct: 5,
+            cone_dup_hits: 2,
+            speedup_vs_serial: None,
+            oracle_call_ratio: Some(1.0),
+            peak_mem: 3 << 20,
+        }
+    }
+
+    #[test]
+    fn rendered_report_reads_back_as_a_baseline() {
+        let records = [
+            record("C432", "@1", 1.25, 40),
+            record("C880", "@N", 0.5, 12),
+        ];
+        let resynth = [ResynthRecord {
+            netlist: "rca8".to_string(),
+            worst_before: 17,
+            worst_after: 11,
+            gain: 6,
+            chains_improved: 1,
+            verified: 1,
+            wall_s: 0.1,
+        }];
+        let text = render_json(Duration::from_secs(5), &records, &resynth);
+        assert_eq!(
+            parse_baseline(&text),
+            vec![
+                ("C432".to_string(), "@1".to_string(), 1.25, 40, 3 << 20),
+                ("C880".to_string(), "@N".to_string(), 0.5, 12, 3 << 20),
+            ]
+        );
+        assert_eq!(
+            parse_baseline_resynth(&text),
+            vec![("rca8".to_string(), 11, 6)]
+        );
+    }
+
+    #[test]
+    fn older_reports_map_dominance_rows_onto_the_current_configs() {
+        let old = "  \"rows\": [\n    {\"circuit\": \"C432\", \"config\": \"exact@1\", \
+                   \"cache\": \"exact\", \"wall_secs\": 0.0059, \"oracle_calls\": 64},\n    \
+                   {\"circuit\": \"C432\", \"config\": \"dominance@1\", \"cache\": \"dominance\", \
+                   \"wall_secs\": 0.0019, \"oracle_calls\": 52}\n  ],\n";
+        assert_eq!(
+            parse_baseline(old),
+            vec![
+                ("C432".to_string(), "exact@1".to_string(), 0.0059, 64, 0),
+                ("C432".to_string(), "@1".to_string(), 0.0019, 52, 0),
+            ]
+        );
+    }
 }

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use xrta_core::{
     approx1_required_times, approx2_required_times, exact_required_times, Approx1Options,
-    Approx2Options, CacheStrategy, ExactOptions,
+    Approx2Options, ExactOptions,
 };
 use xrta_network::Network;
 use xrta_timing::{Time, UnitDelay};
@@ -160,20 +160,14 @@ pub struct Approx2Report {
 }
 
 /// Runs the lattice-climbing algorithm (§4.3) under a wall-clock budget
-/// with the default oracle configuration (dominance cache, automatic
-/// thread count).
+/// with the default oracle configuration (automatic thread count).
 pub fn run_approx2(net: &Network, budget: Duration) -> Approx2Report {
-    run_approx2_with(net, budget, 0, CacheStrategy::Dominance)
+    run_approx2_with(net, budget, 0)
 }
 
-/// Like [`run_approx2`] with an explicit thread count and verdict-cache
-/// strategy — the axes the Table-2 harness compares.
-pub fn run_approx2_with(
-    net: &Network,
-    budget: Duration,
-    threads: usize,
-    cache: CacheStrategy,
-) -> Approx2Report {
+/// Like [`run_approx2`] with an explicit thread count — the axis the
+/// Table-2 harness compares.
+pub fn run_approx2_with(net: &Network, budget: Duration, threads: usize) -> Approx2Report {
     let req = zero_required(net);
     let r = approx2_required_times(
         net,
@@ -189,7 +183,6 @@ pub fn run_approx2_with(
             oracle_conflict_budget: Some(100_000),
             oracle_propagation_budget: Some(20_000_000),
             threads,
-            cache,
             ..Approx2Options::default()
         },
     );

@@ -61,11 +61,11 @@
 //! [`Network::output_support_masks`]); every other cone inherits its
 //! verdict from the current safe point. Safety is monotone decreasing
 //! in the pointwise order, so verdict caches answer by dominance
-//! ([`CacheStrategy::Dominance`], the default) and the per-coordinate
-//! climb gallops: next rung, top rung, then bisect the frontier.
+//! ([`DominanceCache`]) and the per-coordinate climb gallops: next
+//! rung, top rung, then bisect the frontier.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -76,7 +76,7 @@ use xrta_network::{Network, NodeId};
 use xrta_sat::StopReason;
 use xrta_timing::{required_times, DelayModel, TableDelay, Time};
 
-use crate::dominance::{CacheStrategy, DominanceCache};
+use crate::dominance::DominanceCache;
 use crate::governor::{AnalysisError, Budget};
 use crate::oracle_pool::StealQueues;
 use crate::plan::plan_leaves;
@@ -137,8 +137,6 @@ pub struct Approx2Options {
     /// steal batches from each other; any value produces the same
     /// analysis.
     pub threads: usize,
-    /// Verdict-cache strategy; see [`CacheStrategy`].
-    pub cache: CacheStrategy,
 }
 
 impl Default for Approx2Options {
@@ -153,7 +151,6 @@ impl Default for Approx2Options {
             oracle_propagation_budget: None,
             cluster_stride: 1,
             threads: 0,
-            cache: CacheStrategy::Dominance,
         }
     }
 }
@@ -292,47 +289,6 @@ impl Cone {
     }
 }
 
-/// Governor state shared with every cone validation.
-#[derive(Clone, Default)]
-struct OracleGovernor {
-    deadline: Option<Instant>,
-    cancel: Option<Arc<AtomicBool>>,
-    node_limit: Option<usize>,
-    mem_limit: Option<u64>,
-}
-
-impl OracleGovernor {
-    /// Budget interrupt pending? Polled between rounds and at batch
-    /// entry.
-    fn stop(&self) -> Option<AnalysisError> {
-        if let Some(flag) = &self.cancel {
-            if flag.load(Ordering::Relaxed) {
-                return Some(AnalysisError::Interrupted);
-            }
-        }
-        if let Some(d) = self.deadline {
-            if Instant::now() >= d {
-                return Some(AnalysisError::DeadlineExceeded);
-            }
-        }
-        if let Some(limit) = self.mem_limit {
-            if xrta_robust::mem::global().pressure(limit) == xrta_robust::mem::Pressure::Hard {
-                return Some(AnalysisError::MemoryOut);
-            }
-        }
-        None
-    }
-
-    /// Soft-pressure poll: true when the meter sits between the soft
-    /// and hard watermarks, i.e. reclamation should run now so the
-    /// search never has to be abandoned.
-    fn soft_pressure(&self) -> bool {
-        self.mem_limit.is_some_and(|limit| {
-            xrta_robust::mem::global().pressure(limit) == xrta_robust::mem::Pressure::Soft
-        })
-    }
-}
-
 /// One unit of stealable oracle work: validate `rungs.len()` raises of
 /// one coordinate against one cone, sharing a single χ engine.
 struct Batch {
@@ -402,7 +358,9 @@ enum Task {
 struct OracleShared {
     cones: Vec<Cone>,
     options: Approx2Options,
-    gov: OracleGovernor,
+    /// The caller's budget (a clone, sharing its cancel flag), polled
+    /// between rounds and at probe entry.
+    budget: Budget,
     /// Earliest of the governor deadline and the options' own
     /// wall-clock budget; installed into every χ engine so a single
     /// long probe cannot blow through [`Approx2Options::time_budget`].
@@ -440,7 +398,7 @@ impl OracleShared {
         match xrta_robust::failpoint::eval("chi::construct") {
             Some(xrta_robust::failpoint::Outcome::Exhausted) => {
                 return Err(BddError::Capacity {
-                    limit: self.gov.node_limit.unwrap_or(usize::MAX),
+                    limit: self.budget.node_limit().unwrap_or(usize::MAX),
                 })
             }
             Some(xrta_robust::failpoint::Outcome::ReturnError) => return Err(BddError::Deadline),
@@ -457,10 +415,91 @@ impl OracleShared {
         eng.set_conflict_budget(self.options.oracle_conflict_budget);
         eng.set_propagation_budget(self.options.oracle_propagation_budget);
         eng.set_deadline(self.engine_deadline);
-        eng.set_cancel_flag(self.gov.cancel.clone());
-        eng.set_mem_limit(self.gov.mem_limit);
+        eng.set_cancel_flag(Some(self.budget.cancel_flag()));
+        eng.set_mem_limit(self.budget.mem_limit());
         Ok(eng)
     }
+
+    /// Checks `proj` against `cone` on a fresh per-probe engine of the
+    /// configured kind; `FunctionalTiming` reads an exhausted per-query
+    /// budget conservatively as unsafe for both kinds.
+    fn fresh_verdict(&self, cone: &Cone, proj: &[Time]) -> Result<bool, BddError> {
+        FunctionalTiming::new(&cone.net, &cone.delays, proj.to_vec(), self.options.engine)
+            .with_conflict_budget(self.options.oracle_conflict_budget)
+            .with_propagation_budget(self.options.oracle_propagation_budget)
+            .with_node_limit(self.budget.node_limit())
+            .with_mem_limit(self.budget.mem_limit())
+            .with_deadline(self.engine_deadline)
+            .with_cancel_flag(Some(self.budget.cancel_flag()))
+            .try_stable_by(cone.out, cone.required)
+    }
+}
+
+/// How one cone probe ended (see [`run_probe`]).
+enum ProbeEnd {
+    /// The oracle-call cap was already spent; nothing ran.
+    Capped,
+    /// A verdict, now in the striped cache. `panicked` marks the
+    /// conservative "unsafe" of a probe that panicked.
+    Verdict { safe: bool, panicked: bool },
+    /// A deadline, cancellation or memory stop. It is not a fact about
+    /// the cone, so nothing was cached.
+    Interrupted(BddError),
+}
+
+/// The per-probe work shared by round batches and speculation, for a
+/// probe of `(cone, proj)` whose single-flight claim the caller owns
+/// (`owned`) or timed out waiting on. Reserves one oracle call (undone
+/// on overshoot, so the final count never exceeds the cap even under
+/// concurrent reservation), evaluates the `approx2::cone`
+/// fault-injection site, runs `oracle` under `catch_unwind` and lands
+/// the outcome in the striped cache. A node-capacity verdict is
+/// deterministic and a panic reads conservatively, so both are cached
+/// as unsafe; every other exit abandons the claim so no waiter stalls.
+fn run_probe(
+    shared: &OracleShared,
+    cone: usize,
+    proj: &[Time],
+    owned: bool,
+    oracle: impl FnOnce() -> Result<bool, BddError>,
+) -> ProbeEnd {
+    let release = || {
+        if owned {
+            shared.cache.abandon(cone, proj);
+        }
+    };
+    let prior = shared.oracle_calls.fetch_add(1, Ordering::Relaxed);
+    if prior >= shared.options.max_oracle_calls {
+        shared.oracle_calls.fetch_sub(1, Ordering::Relaxed);
+        release();
+        return ProbeEnd::Capped;
+    }
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        // A `panic` schedule exercises the catch_unwind the same way a
+        // real poisoned cone would; `err`/`exhaust` forge the
+        // corresponding oracle failures.
+        match xrta_robust::failpoint::eval("approx2::cone") {
+            Some(xrta_robust::failpoint::Outcome::Exhausted) => {
+                return Err(BddError::Capacity {
+                    limit: shared.budget.node_limit().unwrap_or(usize::MAX),
+                })
+            }
+            Some(xrta_robust::failpoint::Outcome::ReturnError) => return Err(BddError::Deadline),
+            None => {}
+        }
+        oracle()
+    }));
+    let (safe, panicked) = match run {
+        Ok(Ok(safe)) => (safe, false),
+        Ok(Err(BddError::Capacity { .. })) => (false, false),
+        Ok(Err(e)) => {
+            release();
+            return ProbeEnd::Interrupted(e);
+        }
+        Err(_) => (false, true),
+    };
+    shared.cache.insert(cone, proj, safe);
+    ProbeEnd::Verdict { safe, panicked }
 }
 
 /// Runs one batch on the calling thread. Every probe is individually
@@ -482,7 +521,7 @@ fn execute_batch(shared: &OracleShared, batch: &Batch) -> BatchOut {
             .batched_probes
             .fetch_add(batch.rungs.len(), Ordering::Relaxed);
     }
-    out.stop = shared.gov.stop();
+    out.stop = shared.budget.check().err();
     let mut engine: Option<ChiSatEngine> = None;
     for (variant, &(k, value)) in batch.rungs.iter().enumerate() {
         if out.stop.is_some() || out.truncated {
@@ -512,43 +551,15 @@ fn execute_batch(shared: &OracleShared, batch: &Batch) -> BatchOut {
             Claim::Owner => true,
             Claim::TimedOut => false,
         };
-        let release = |shared: &OracleShared| {
+        if shared.time_exhausted() {
             if owned {
                 shared.cache.abandon(batch.cone, &proj);
             }
-        };
-        if shared.time_exhausted() {
-            release(shared);
             out.truncated = true;
             out.verdicts.push((k, None));
             continue;
         }
-        // Reserve one oracle call; undo on overshoot so the final count
-        // never exceeds the cap even under concurrent reservation.
-        let prior = shared.oracle_calls.fetch_add(1, Ordering::Relaxed);
-        if prior >= shared.options.max_oracle_calls {
-            shared.oracle_calls.fetch_sub(1, Ordering::Relaxed);
-            release(shared);
-            out.truncated = true;
-            out.verdicts.push((k, None));
-            continue;
-        }
-        let run = catch_unwind(AssertUnwindSafe(|| -> Result<bool, BddError> {
-            // Fault-injection site at the top of a cone probe: a
-            // `panic` schedule exercises the catch_unwind the same way
-            // a real poisoned cone would; `err`/`exhaust` forge the
-            // corresponding oracle failures.
-            match xrta_robust::failpoint::eval("approx2::cone") {
-                Some(xrta_robust::failpoint::Outcome::Exhausted) => {
-                    return Err(BddError::Capacity {
-                        limit: shared.gov.node_limit.unwrap_or(usize::MAX),
-                    })
-                }
-                Some(xrta_robust::failpoint::Outcome::ReturnError) => {
-                    return Err(BddError::Deadline)
-                }
-                None => {}
-            }
+        let end = run_probe(shared, batch.cone, &proj, owned, || {
             match shared.options.engine {
                 EngineKind::Sat => {
                     if engine.is_none() {
@@ -568,67 +579,47 @@ fn execute_batch(shared: &OracleShared, batch: &Batch) -> BatchOut {
                         },
                     }
                 }
-                EngineKind::Bdd => {
-                    let ft = FunctionalTiming::new(
-                        &cone.net,
-                        &cone.delays,
-                        proj.clone(),
-                        EngineKind::Bdd,
-                    )
-                    .with_conflict_budget(shared.options.oracle_conflict_budget)
-                    .with_propagation_budget(shared.options.oracle_propagation_budget)
-                    .with_node_limit(shared.gov.node_limit)
-                    .with_mem_limit(shared.gov.mem_limit)
-                    .with_deadline(shared.engine_deadline)
-                    .with_cancel_flag(shared.gov.cancel.clone());
-                    ft.try_stable_by(cone.out, cone.required)
+                EngineKind::Bdd => shared.fresh_verdict(cone, &proj),
+            }
+        });
+        let verdict = match end {
+            ProbeEnd::Verdict { safe, panicked } => {
+                if panicked {
+                    // Poisoned cone: drop the shared engine (its solver
+                    // state is suspect) and keep going.
+                    out.panics += 1;
+                    engine = None;
                 }
+                Some(safe)
             }
-        }));
-        match run {
-            Ok(Ok(safe)) => {
-                shared.cache.insert(batch.cone, &proj, safe);
-                if !safe {
-                    shared.round_failed.fetch_or(1 << k, Ordering::Relaxed);
-                }
-                out.verdicts.push((k, Some(safe)));
+            ProbeEnd::Capped => {
+                out.truncated = true;
+                None
             }
-            // Node budget: this cone alone is too big for its oracle —
-            // conservatively unsafe, but keep searching (other cones
-            // may still answer). Deterministic, hence cacheable.
-            Ok(Err(BddError::Capacity { .. })) => {
-                shared.cache.insert(batch.cone, &proj, false);
-                shared.round_failed.fetch_or(1 << k, Ordering::Relaxed);
-                out.verdicts.push((k, Some(false)));
-            }
-            Ok(Err(BddError::Deadline)) => {
-                // The engine deadline is the tighter of the governor's
-                // deadline and the options' own wall-clock budget —
-                // attribute accordingly. Interrupt artifacts are not
-                // cached (they are not facts about the cone).
-                release(shared);
-                if shared.gov.deadline.is_some_and(|d| Instant::now() >= d) {
+            // The engine deadline is the tighter of the governor's
+            // deadline and the options' own wall-clock budget —
+            // attribute accordingly.
+            ProbeEnd::Interrupted(BddError::Deadline) => {
+                if shared
+                    .budget
+                    .deadline()
+                    .is_some_and(|d| Instant::now() >= d)
+                {
                     out.stop = Some(AnalysisError::DeadlineExceeded);
                 } else {
                     out.truncated = true;
                 }
-                out.verdicts.push((k, None));
+                None
             }
-            Ok(Err(e)) => {
-                release(shared);
+            ProbeEnd::Interrupted(e) => {
                 out.stop = Some(e.into());
-                out.verdicts.push((k, None));
+                None
             }
-            Err(_) => {
-                // Poisoned cone: conservative "unsafe", drop the shared
-                // engine (its solver state is suspect) and keep going.
-                out.panics += 1;
-                engine = None;
-                shared.cache.insert(batch.cone, &proj, false);
-                shared.round_failed.fetch_or(1 << k, Ordering::Relaxed);
-                out.verdicts.push((k, Some(false)));
-            }
+        };
+        if verdict == Some(false) {
+            shared.round_failed.fetch_or(1 << k, Ordering::Relaxed);
         }
+        out.verdicts.push((k, verdict));
     }
     out
 }
@@ -644,7 +635,7 @@ fn execute_spec(shared: &OracleShared, spec: &SpecProbe) {
         if shared.spec_version.load(Ordering::Acquire) != spec.version {
             return; // Stale: the climb has moved its base since.
         }
-        if shared.gov.stop().is_some() || shared.time_exhausted() {
+        if shared.budget.check().is_err() || shared.time_exhausted() {
             return;
         }
         let owned = match shared.cache.claim(*c, proj) {
@@ -656,73 +647,24 @@ fn execute_spec(shared: &OracleShared, spec: &SpecProbe) {
             Claim::TimedOut => false,
         };
         // Speculative probes draw from the same oracle-call budget as
-        // the climb's own (the cap is a cap, not a per-path quota).
-        let prior = shared.oracle_calls.fetch_add(1, Ordering::Relaxed);
-        if prior >= shared.options.max_oracle_calls {
-            shared.oracle_calls.fetch_sub(1, Ordering::Relaxed);
-            if owned {
-                shared.cache.abandon(*c, proj);
-            }
-            return;
-        }
+        // the climb's own, on a fresh per-probe engine: speculation has
+        // no rung batch to amortise a varying engine over.
         let cone = &shared.cones[*c];
-        let run = catch_unwind(AssertUnwindSafe(|| -> Result<bool, BddError> {
-            // Same fault-injection site as a round probe — a schedule
-            // that poisons cone validations hits speculation too.
-            match xrta_robust::failpoint::eval("approx2::cone") {
-                Some(xrta_robust::failpoint::Outcome::Exhausted) => {
-                    return Err(BddError::Capacity {
-                        limit: shared.gov.node_limit.unwrap_or(usize::MAX),
-                    })
-                }
-                Some(xrta_robust::failpoint::Outcome::ReturnError) => {
-                    return Err(BddError::Deadline)
-                }
-                None => {}
-            }
-            // A fresh per-probe engine: speculation has no rung batch
-            // to amortise a varying engine over, and `FunctionalTiming`
-            // applies the identical verdict mapping (budget-exhausted
-            // reads conservatively unsafe) for both engine kinds.
-            let ft =
-                FunctionalTiming::new(&cone.net, &cone.delays, proj.clone(), shared.options.engine)
-                    .with_conflict_budget(shared.options.oracle_conflict_budget)
-                    .with_propagation_budget(shared.options.oracle_propagation_budget)
-                    .with_node_limit(shared.gov.node_limit)
-                    .with_mem_limit(shared.gov.mem_limit)
-                    .with_deadline(shared.engine_deadline)
-                    .with_cancel_flag(shared.gov.cancel.clone());
-            ft.try_stable_by(cone.out, cone.required)
-        }));
-        match run {
-            Ok(Ok(safe)) => {
-                shared.spec_solved.fetch_add(1, Ordering::Relaxed);
-                shared.cache.insert(*c, proj, safe);
+        match run_probe(shared, *c, proj, owned, || shared.fresh_verdict(cone, proj)) {
+            ProbeEnd::Verdict { safe, panicked } => {
+                let counter = if panicked {
+                    &shared.spec_panics
+                } else {
+                    &shared.spec_solved
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
                 if !safe {
                     return;
                 }
             }
-            // Deterministic budget verdict: cacheable, conservatively
-            // unsafe (same as the round path).
-            Ok(Err(BddError::Capacity { .. })) => {
-                shared.spec_solved.fetch_add(1, Ordering::Relaxed);
-                shared.cache.insert(*c, proj, false);
-                return;
-            }
-            // Deadline/cancellation artifacts are not facts about the
-            // cone; release the claim and let the coordinator attribute
-            // the interrupt on its own probes.
-            Ok(Err(_)) => {
-                if owned {
-                    shared.cache.abandon(*c, proj);
-                }
-                return;
-            }
-            Err(_) => {
-                shared.spec_panics.fetch_add(1, Ordering::Relaxed);
-                shared.cache.insert(*c, proj, false);
-                return;
-            }
+            // Interrupts are not facts about the cone; the coordinator
+            // attributes them on its own probes.
+            ProbeEnd::Capped | ProbeEnd::Interrupted(_) => return,
         }
     }
 }
@@ -764,11 +706,9 @@ struct Search {
     shared: Arc<OracleShared>,
     candidates: Vec<Vec<Time>>,
     r_bottom: Vec<Time>,
-    /// Whole-vector verdict caches (coordinator-only; per-cone verdicts
+    /// Whole-vector verdict cache (coordinator-only; per-cone verdicts
     /// live in the shared striped cache).
-    exact_full: FxHashMap<Vec<Time>, bool>,
     dom_full: DominanceCache,
-    full_hits: usize,
     first_nontrivial: Option<Duration>,
     out_of_budget: bool,
     interrupted: Option<AnalysisError>,
@@ -786,10 +726,6 @@ struct Search {
 }
 
 impl Search {
-    fn options(&self) -> &Approx2Options {
-        &self.shared.options
-    }
-
     fn project(&self, cone: usize, r: &[Time]) -> Vec<Time> {
         self.shared.cones[cone]
             .input_pos
@@ -798,29 +734,8 @@ impl Search {
             .collect()
     }
 
-    fn query_full(&mut self, r: &[Time]) -> Option<bool> {
-        match self.options().cache {
-            CacheStrategy::Exact => self.exact_full.get(r).copied(),
-            CacheStrategy::Dominance => self.dom_full.query(r),
-        }
-    }
-
-    /// Non-counting [`Search::query_full`] — speculation planning must
-    /// not inflate the reported hit counters.
-    fn peek_full(&self, r: &[Time]) -> Option<bool> {
-        match self.options().cache {
-            CacheStrategy::Exact => self.exact_full.get(r).copied(),
-            CacheStrategy::Dominance => self.dom_full.peek(r),
-        }
-    }
-
     fn record_full(&mut self, r: &[Time], safe: bool) {
-        match self.options().cache {
-            CacheStrategy::Exact => {
-                self.exact_full.insert(r.to_vec(), safe);
-            }
-            CacheStrategy::Dominance => self.dom_full.insert(r, safe),
-        }
+        self.dom_full.insert(r, safe);
         if safe && self.first_nontrivial.is_none() && r != self.r_bottom.as_slice() {
             self.first_nontrivial = Some(self.shared.started.elapsed());
         }
@@ -966,7 +881,9 @@ impl Search {
             }
             let mut v = r.to_vec();
             v[i] = cands[pos + 1];
-            if self.peek_full(&v).is_some() {
+            // Non-counting peek: planning must not inflate the hit
+            // counters.
+            if self.dom_full.peek(&v).is_some() {
                 continue; // the climb will answer this from the caches
             }
             let cones: Vec<(usize, Vec<Time>)> = (0..self.shared.cones.len())
@@ -1000,7 +917,7 @@ impl Search {
     /// when a budget stops evaluation.
     fn probe_rungs(&mut self, base: &[Time], i: usize, rungs: &[Time]) -> Option<Vec<bool>> {
         assert!(rungs.len() <= 64, "round bitmask width");
-        if let Some(e) = self.shared.gov.stop() {
+        if let Err(e) = self.shared.budget.check() {
             self.interrupted.get_or_insert(e);
             self.out_of_budget = true;
             return None;
@@ -1012,7 +929,9 @@ impl Search {
         // Soft memory pressure: shed the verdict cache in place before
         // this round rather than letting the hard watermark end the
         // search. Verdicts are re-derivable, so this only costs refills.
-        if self.shared.gov.soft_pressure() {
+        if self.shared.budget.mem_limit().is_some_and(|limit| {
+            xrta_robust::mem::global().pressure(limit) == xrta_robust::mem::Pressure::Soft
+        }) {
             self.shared.cache.reclaim();
         }
         let relevant: Vec<usize> = (0..self.shared.cones.len())
@@ -1025,8 +944,7 @@ impl Search {
         for &rung in rungs {
             let mut v = base.to_vec();
             v[i] = rung;
-            if let Some(known) = self.query_full(&v) {
-                self.full_hits += 1;
+            if let Some(known) = self.dom_full.query(&v) {
                 verdicts.push(Some(known));
                 unresolved.push(Vec::new());
                 continue;
@@ -1120,42 +1038,20 @@ impl Search {
         Some(verdicts.into_iter().map(|v| v.expect("resolved")).collect())
     }
 
-    /// Raises coordinate `i` of the safe point `r` as far as it goes.
-    /// Returns whether it moved.
+    /// Raises coordinate `i` of the safe point `r` as far as it goes
+    /// and returns whether it moved. A galloping ascent exploiting
+    /// monotonicity: next rung, then top rung, then a binary search of
+    /// the frontier in between, probing [`LADDER_PROBES`] evenly spaced
+    /// rungs per round. The probe width is fixed — never derived from
+    /// the thread count — so the search transcript is identical for
+    /// every thread count; parallelism only spreads a round's cone
+    /// batches across workers.
     fn ascend(&mut self, r: &mut [Time], i: usize) -> bool {
         let cands = self.candidates[i].clone();
         let pos = cands.iter().position(|&c| c == r[i]).expect("on lattice");
         if pos + 1 >= cands.len() {
             return false;
         }
-        match self.options().cache {
-            CacheStrategy::Exact => self.ascend_linear(r, i, &cands, pos),
-            CacheStrategy::Dominance => self.ascend_ladder(r, i, &cands, pos),
-        }
-    }
-
-    /// Rung-by-rung ascent (the original exact-key behaviour).
-    fn ascend_linear(&mut self, r: &mut [Time], i: usize, cands: &[Time], pos: usize) -> bool {
-        let mut cur = pos;
-        while cur + 1 < cands.len() {
-            match self.probe_rungs(r, i, &cands[cur + 1..cur + 2]) {
-                Some(v) if v[0] => {
-                    cur += 1;
-                    r[i] = cands[cur];
-                }
-                _ => break,
-            }
-        }
-        cur > pos
-    }
-
-    /// Galloping ascent exploiting monotonicity: next rung, then top
-    /// rung, then a binary search of the frontier in between, probing
-    /// [`LADDER_PROBES`] evenly spaced rungs per round. The probe width
-    /// is fixed — never derived from the thread count — so the search
-    /// transcript is identical for every thread count; parallelism only
-    /// spreads a round's cone batches across workers.
-    fn ascend_ladder(&mut self, r: &mut [Time], i: usize, cands: &[Time], pos: usize) -> bool {
         // Step 1: the immediate next rung (cheap "cannot move" exit —
         // the common case on tight coordinates).
         match self.probe_rungs(r, i, &cands[pos + 1..pos + 2]) {
@@ -1225,7 +1121,7 @@ impl Search {
     fn enumerate(&mut self, bottom: Vec<Time>) -> Vec<Vec<Time>> {
         let n = bottom.len().max(1);
         let mut maximal: Vec<Vec<Time>> = Vec::new();
-        let max_solutions = self.options().max_solutions;
+        let max_solutions = self.shared.options.max_solutions;
         for attempt in 0..max_solutions {
             if self.out_of_budget {
                 break;
@@ -1401,24 +1297,18 @@ pub fn approx2_required_times_governed<D: DelayModel>(
         .enumerate()
         .map(|(c, cone)| support_fingerprint(c, &cone.mask))
         .collect();
-    let gov = OracleGovernor {
-        deadline: budget.deadline(),
-        cancel: Some(budget.cancel_flag()),
-        node_limit: budget.node_limit(),
-        mem_limit: budget.mem_limit(),
-    };
     let time_cap = options.time_budget.map(|b| started + b);
-    let engine_deadline = match (gov.deadline, time_cap) {
+    let engine_deadline = match (budget.deadline(), time_cap) {
         (Some(a), Some(b)) => Some(a.min(b)),
         (a, b) => a.or(b),
     };
     let shared = Arc::new(OracleShared {
         cones,
         options,
-        gov,
+        budget: budget.clone(),
         engine_deadline,
         started,
-        cache: StripedVerdictCache::new(options.cache, &fingerprints),
+        cache: StripedVerdictCache::new(&fingerprints),
         oracle_calls: AtomicUsize::new(0),
         batches: AtomicUsize::new(0),
         batched_probes: AtomicUsize::new(0),
@@ -1433,9 +1323,7 @@ pub fn approx2_required_times_governed<D: DelayModel>(
         shared: Arc::clone(&shared),
         candidates,
         r_bottom: r_bottom.clone(),
-        exact_full: FxHashMap::default(),
         dom_full: DominanceCache::new(),
-        full_hits: 0,
         first_nontrivial: None,
         out_of_budget: false,
         interrupted: None,
@@ -1482,7 +1370,7 @@ pub fn approx2_required_times_governed<D: DelayModel>(
         first_nontrivial: search.first_nontrivial,
         total_time: started.elapsed(),
         oracle_calls: shared.oracle_calls.load(Ordering::Relaxed),
-        cache_hits: search.full_hits + shared.cache.hits(),
+        cache_hits: search.dom_full.hits() + shared.cache.hits(),
         threads_used: options.effective_threads(),
         steals: shared.queues.steals(),
         shard_contention: shared.cache.contention(),
@@ -1611,43 +1499,6 @@ mod tests {
             v
         };
         assert_eq!(norm(sat.maximal), norm(bdd.maximal));
-    }
-
-    #[test]
-    fn cache_strategies_find_identical_maximal_sets() {
-        for threads in [1usize, 3] {
-            let net = mux_false_path();
-            let req = [Time::new(4)];
-            let exact = approx2_required_times(
-                &net,
-                &UnitDelay,
-                &req,
-                Approx2Options {
-                    cache: CacheStrategy::Exact,
-                    threads,
-                    ..Approx2Options::default()
-                },
-            );
-            let dom = approx2_required_times(
-                &net,
-                &UnitDelay,
-                &req,
-                Approx2Options {
-                    cache: CacheStrategy::Dominance,
-                    threads,
-                    ..Approx2Options::default()
-                },
-            );
-            assert_eq!(exact.maximal, dom.maximal, "threads = {threads}");
-            // The dominance cache must not need more oracle runs than the
-            // exact-key baseline.
-            assert!(
-                dom.oracle_calls <= exact.oracle_calls,
-                "dominance {} vs exact {} oracle calls",
-                dom.oracle_calls,
-                exact.oracle_calls
-            );
-        }
     }
 
     #[test]

@@ -11,24 +11,11 @@
 //! The cache therefore stores two antichains — the maximal known-safe
 //! points and the minimal known-unsafe points — and answers any
 //! dominated/dominating query without touching a χ engine. Incomparable
-//! queries miss. Compare with an exact-key map, which only ever answers
-//! the *identical* vector: on rotated lattice climbs, where restarts
-//! re-traverse the region below an already-discovered maximal point,
-//! dominance converts nearly the whole re-climb into cache hits.
+//! queries miss. On rotated lattice climbs, where restarts re-traverse
+//! the region below an already-discovered maximal point, dominance
+//! converts nearly the whole re-climb into cache hits.
 
 use xrta_timing::Time;
-
-/// Which verdict cache backs the §4.3 oracle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CacheStrategy {
-    /// Exact-key maps: a cached verdict answers only the identical
-    /// vector (the original behaviour; kept as a measurable baseline).
-    Exact,
-    /// Dominance frontiers: a verdict answers every vector it dominates
-    /// (safe) or is dominated by (unsafe), plus frontier-guided ladder
-    /// jumps in the climb.
-    Dominance,
-}
 
 /// Soft cap per frontier; beyond it the oldest entries are dropped.
 /// Dropping is always sound — a lost entry is just a future cache miss
@@ -82,27 +69,27 @@ impl DominanceCache {
     /// Records an oracle verdict, keeping both frontiers antichains:
     /// a new safe point evicts safe points it dominates; a new unsafe
     /// point evicts unsafe points dominating it. Points already implied
-    /// by the frontier are not stored.
-    pub fn insert(&mut self, r: &[Time], safe: bool) {
-        if safe {
-            if self.safe.iter().any(|s| le(r, s)) {
-                return;
-            }
-            self.safe.retain(|s| !le(s, r));
-            if self.safe.len() >= MAX_FRONTIER {
-                self.safe.remove(0);
-            }
-            self.safe.push(r.to_vec());
+    /// by the frontier are not stored. Returns the net change in stored
+    /// points (added minus evicted), so a caller can meter what the
+    /// frontiers hold rather than what was offered to them.
+    pub fn insert(&mut self, r: &[Time], safe: bool) -> isize {
+        let frontier = if safe {
+            &mut self.safe
         } else {
-            if self.unsafe_.iter().any(|u| le(u, r)) {
-                return;
-            }
-            self.unsafe_.retain(|u| !le(r, u));
-            if self.unsafe_.len() >= MAX_FRONTIER {
-                self.unsafe_.remove(0);
-            }
-            self.unsafe_.push(r.to_vec());
+            &mut self.unsafe_
+        };
+        // `implied(a, b)`: a verdict at `b` already answers `a`.
+        let implied = |a: &[Time], b: &[Time]| if safe { le(a, b) } else { le(b, a) };
+        if frontier.iter().any(|p| implied(r, p)) {
+            return 0;
         }
+        let before = frontier.len() as isize;
+        frontier.retain(|p| !implied(p, r));
+        if frontier.len() >= MAX_FRONTIER {
+            frontier.remove(0);
+        }
+        frontier.push(r.to_vec());
+        frontier.len() as isize - before
     }
 
     /// Queries answered by dominance.
@@ -173,19 +160,22 @@ mod tests {
 
     #[test]
     fn frontiers_stay_antichains() {
+        // `insert` returns the net change in stored points.
         let mut c = DominanceCache::new();
-        c.insert(&t(&[1, 1]), true);
-        c.insert(&t(&[2, 2]), true); // dominates the first → evicts it
+        assert_eq!(c.insert(&t(&[1, 1]), true), 1);
+        assert_eq!(c.insert(&t(&[2, 2]), true), 0); // dominates the first → evicts it
         assert_eq!(c.frontier_sizes().0, 1);
-        c.insert(&t(&[1, 3]), true); // incomparable → kept
+        assert_eq!(c.insert(&t(&[1, 3]), true), 1); // incomparable → kept
         assert_eq!(c.frontier_sizes().0, 2);
-        c.insert(&t(&[0, 0]), true); // implied → not stored
+        assert_eq!(c.insert(&t(&[0, 0]), true), 0); // implied → not stored
         assert_eq!(c.frontier_sizes().0, 2);
+        assert_eq!(c.insert(&t(&[3, 3]), true), -1); // evicts both
+        assert_eq!(c.frontier_sizes().0, 1);
 
-        c.insert(&t(&[9, 9]), false);
-        c.insert(&t(&[8, 8]), false); // dominated by (9,9)? no: (8,8) ≤ (9,9) evicts it
+        assert_eq!(c.insert(&t(&[9, 9]), false), 1);
+        assert_eq!(c.insert(&t(&[8, 8]), false), 0); // (8,8) ≤ (9,9) evicts it
         assert_eq!(c.frontier_sizes().1, 1);
-        c.insert(&t(&[10, 10]), false); // implied → not stored
+        assert_eq!(c.insert(&t(&[10, 10]), false), 0); // implied → not stored
         assert_eq!(c.frontier_sizes().1, 1);
     }
 

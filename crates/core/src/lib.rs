@@ -79,7 +79,7 @@ pub use approx2::{
     approx2_required_times, approx2_required_times_governed, Approx2Options, Approx2Result,
 };
 pub use cone::{analyze_cone, slice_cones, splice, ConeSlice, ConeVerdict, SpliceReport};
-pub use dominance::{CacheStrategy, DominanceCache};
+pub use dominance::DominanceCache;
 pub use exact::{exact_required_times, exact_required_times_governed, ExactAnalysis, ExactOptions};
 pub use flex::{
     coupled_flexibility, subcircuit_arrival_times, subcircuit_required_times, ArrivalClass,

@@ -3,8 +3,8 @@
 //! The per-cone verdict caches used to live on the coordinating thread:
 //! workers computed verdicts, the coordinator cached them, and a fact
 //! proven by one worker only became visible to the others at the next
-//! round boundary. This wrapper shards the same two cache strategies
-//! ([`CacheStrategy`]) across `N` mutex-striped shards keyed by a
+//! round boundary. This wrapper shards the per-cone dominance frontiers
+//! ([`DominanceCache`]) across `N` mutex-striped shards keyed by a
 //! fingerprint of each cone's input-support mask, so any worker can
 //! consult and extend the cache mid-round:
 //!
@@ -22,14 +22,14 @@
 //! else, and every stored verdict is individually sound, so recovering
 //! the inner value of a poisoned mutex is safe.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, TryLockError};
 use std::time::Duration;
 
 use xrta_bdd::{FxHashMap, FxHashSet};
 use xrta_timing::Time;
 
-use crate::dominance::{CacheStrategy, DominanceCache};
+use crate::dominance::DominanceCache;
 
 /// Number of lock stripes. More than any realistic worker count, so
 /// contention is dominated by genuine same-cone sharing, not by hash
@@ -54,12 +54,9 @@ pub fn support_fingerprint(cone: usize, mask: &[u64]) -> u64 {
     h
 }
 
-/// One stripe's storage: both strategies are kept so the cache can back
-/// whichever [`CacheStrategy`] the search selected.
+/// One stripe's storage.
 #[derive(Default)]
 struct Shard {
-    /// Exact-key verdicts, `(cone, projection) → safe`.
-    exact: FxHashMap<(usize, Vec<Time>), bool>,
     /// Dominance frontiers per cone.
     dom: FxHashMap<usize, DominanceCache>,
     /// Keys some thread is currently solving (single-flight dedup):
@@ -67,6 +64,10 @@ struct Shard {
     /// owner's [`StripedVerdictCache::insert`] / `abandon` instead of
     /// running a duplicate χ engine.
     pending: FxHashSet<(usize, Vec<Time>)>,
+    /// Bytes charged to the process meter's `Stripes` account for the
+    /// points this stripe's frontiers hold (estimate: per-point base
+    /// plus the projection payload).
+    bytes: u64,
 }
 
 /// Outcome of [`StripedVerdictCache::claim`].
@@ -88,7 +89,6 @@ pub enum Claim {
 /// A striped, thread-shared wrapper over the per-cone verdict caches of
 /// the §4.3 oracle. See the module docs.
 pub struct StripedVerdictCache {
-    strategy: CacheStrategy,
     shards: Vec<Mutex<Shard>>,
     /// One condvar per stripe, signalled whenever an in-flight key
     /// resolves (insert) or is abandoned.
@@ -100,14 +100,10 @@ pub struct StripedVerdictCache {
     /// Lock acquisitions that found the stripe held by another thread
     /// (`try_lock` failed and the caller had to wait).
     contention: AtomicUsize,
-    /// Bytes charged to the process meter's `Stripes` account for the
-    /// verdicts currently cached (estimate: per-entry base plus the
-    /// projection payload).
-    mem_bytes: AtomicU64,
 }
 
-/// Estimated per-verdict overhead beyond the projection payload: map
-/// entry header, key tuple and hashbrown slot bookkeeping.
+/// Estimated per-point overhead beyond the projection payload: the
+/// frontier's `Vec` header and allocation bookkeeping.
 const ENTRY_BASE_BYTES: u64 = 64;
 
 /// Reclamation is skipped while the cache holds less than this — a
@@ -123,9 +119,8 @@ fn plock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 impl StripedVerdictCache {
     /// Creates a cache for `fingerprints.len()` cones; `fingerprints`
     /// come from [`support_fingerprint`].
-    pub fn new(strategy: CacheStrategy, fingerprints: &[u64]) -> Self {
+    pub fn new(fingerprints: &[u64]) -> Self {
         StripedVerdictCache {
-            strategy,
             shards: (0..STRIPES).map(|_| Mutex::new(Shard::default())).collect(),
             resolved: (0..STRIPES).map(|_| Condvar::new()).collect(),
             stripe_of: fingerprints
@@ -135,7 +130,6 @@ impl StripedVerdictCache {
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             contention: AtomicUsize::new(0),
-            mem_bytes: AtomicU64::new(0),
         }
     }
 
@@ -154,12 +148,11 @@ impl StripedVerdictCache {
     /// Answers `(cone, proj)` from the cache, if it can. Counts one hit
     /// or miss.
     pub fn query(&self, cone: usize, proj: &[Time]) -> Option<bool> {
-        let shard = self.lock_stripe(cone);
-        let verdict = match self.strategy {
-            CacheStrategy::Exact => shard.exact.get(&(cone, proj.to_vec())).copied(),
-            CacheStrategy::Dominance => shard.dom.get(&cone).and_then(|c| c.peek(proj)),
-        };
-        drop(shard);
+        let verdict = self
+            .lock_stripe(cone)
+            .dom
+            .get(&cone)
+            .and_then(|c| c.peek(proj));
         match verdict {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -169,17 +162,21 @@ impl StripedVerdictCache {
 
     /// Records an oracle verdict for `(cone, proj)`, releasing any
     /// single-flight claim on the key and waking its waiters.
+    /// Only the net change in stored points is charged to the meter:
+    /// implied verdicts add nothing and evicted points are released.
     pub fn insert(&self, cone: usize, proj: &[Time], safe: bool) {
-        let entry_bytes = ENTRY_BASE_BYTES + std::mem::size_of_val(proj) as u64;
-        xrta_robust::mem::global().charge(xrta_robust::mem::Subsystem::Stripes, entry_bytes);
-        self.mem_bytes.fetch_add(entry_bytes, Ordering::Relaxed);
+        let point_bytes = ENTRY_BASE_BYTES + std::mem::size_of_val(proj) as u64;
         let stripe = self.stripe_of[cone];
         let mut shard = self.lock_stripe(cone);
-        match self.strategy {
-            CacheStrategy::Exact => {
-                shard.exact.insert((cone, proj.to_vec()), safe);
-            }
-            CacheStrategy::Dominance => shard.dom.entry(cone).or_default().insert(proj, safe),
+        let stored = shard.dom.entry(cone).or_default().insert(proj, safe);
+        let delta = point_bytes * stored.unsigned_abs() as u64;
+        let meter = xrta_robust::mem::global();
+        if stored > 0 {
+            shard.bytes += delta;
+            meter.charge(xrta_robust::mem::Subsystem::Stripes, delta);
+        } else if stored < 0 {
+            shard.bytes = shard.bytes.saturating_sub(delta);
+            meter.release(xrta_robust::mem::Subsystem::Stripes, delta);
         }
         if shard.pending.remove(&(cone, proj.to_vec())) {
             drop(shard);
@@ -200,11 +197,7 @@ impl StripedVerdictCache {
         // and every exit path resolves them, so this is a belt against
         // bugs, not an expected path.
         for _ in 0..40 {
-            let verdict = match self.strategy {
-                CacheStrategy::Exact => shard.exact.get(&(cone, proj.to_vec())).copied(),
-                CacheStrategy::Dominance => shard.dom.get(&cone).and_then(|c| c.peek(proj)),
-            };
-            if let Some(v) = verdict {
+            if let Some(v) = shard.dom.get(&cone).and_then(|c| c.peek(proj)) {
                 drop(shard);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Claim::Hit(v);
@@ -250,6 +243,11 @@ impl StripedVerdictCache {
         self.contention.load(Ordering::Relaxed)
     }
 
+    /// Bytes currently charged to the meter for the stored frontiers.
+    fn charged_bytes(&self) -> u64 {
+        self.shards.iter().map(|s| plock(s).bytes).sum()
+    }
+
     /// Drops every cached verdict and releases its meter charge,
     /// returning the bytes freed. Sound under memory pressure: verdicts
     /// are pure facts the oracle can re-derive, and in-flight
@@ -257,17 +255,16 @@ impl StripedVerdictCache {
     /// stalls. A sweep below [`RECLAIM_FLOOR_BYTES`] is skipped — it
     /// would trade refill work for negligible relief.
     pub fn reclaim(&self) -> u64 {
-        if self.mem_bytes.load(Ordering::Relaxed) < RECLAIM_FLOOR_BYTES {
+        if self.charged_bytes() < RECLAIM_FLOOR_BYTES {
             return 0;
         }
+        let mut freed = 0;
         for shard in &self.shards {
             let mut s = plock(shard);
-            s.exact.clear();
-            s.exact.shrink_to_fit();
             s.dom.clear();
             s.dom.shrink_to_fit();
+            freed += std::mem::take(&mut s.bytes);
         }
-        let freed = self.mem_bytes.swap(0, Ordering::Relaxed);
         xrta_robust::mem::global().release(xrta_robust::mem::Subsystem::Stripes, freed);
         freed
     }
@@ -275,7 +272,7 @@ impl StripedVerdictCache {
 
 impl Drop for StripedVerdictCache {
     fn drop(&mut self) {
-        let charged = self.mem_bytes.swap(0, Ordering::Relaxed);
+        let charged = self.charged_bytes();
         xrta_robust::mem::global().release(xrta_robust::mem::Subsystem::Stripes, charged);
     }
 }
@@ -289,30 +286,35 @@ mod tests {
     }
 
     #[test]
-    fn exact_strategy_round_trips_per_cone() {
-        let fps: Vec<u64> = (0..4)
-            .map(|c| support_fingerprint(c, &[c as u64]))
-            .collect();
-        let cache = StripedVerdictCache::new(CacheStrategy::Exact, &fps);
-        cache.insert(0, &t(&[1, 2]), true);
-        cache.insert(1, &t(&[1, 2]), false);
-        assert_eq!(cache.query(0, &t(&[1, 2])), Some(true));
-        assert_eq!(cache.query(1, &t(&[1, 2])), Some(false));
-        // Exact keys do not generalize.
-        assert_eq!(cache.query(0, &t(&[0, 0])), None);
-        assert_eq!(cache.hits(), 2);
-        assert_eq!(cache.misses(), 1);
-    }
-
-    #[test]
-    fn dominance_strategy_generalizes_within_a_cone_only() {
+    fn verdicts_generalize_within_a_cone_only() {
         let fps: Vec<u64> = (0..2).map(|c| support_fingerprint(c, &[0b11])).collect();
-        let cache = StripedVerdictCache::new(CacheStrategy::Dominance, &fps);
+        let cache = StripedVerdictCache::new(&fps);
         cache.insert(0, &t(&[3, 3]), true);
         assert_eq!(cache.query(0, &t(&[1, 2])), Some(true));
         assert_eq!(cache.query(1, &t(&[1, 2])), None, "cones are independent");
         cache.insert(0, &t(&[5, 5]), false);
         assert_eq!(cache.query(0, &t(&[9, 5])), Some(false));
+        assert_eq!(cache.query(0, &t(&[4, 1])), None, "incomparable");
+        assert_eq!(cache.hits(), 2);
+        assert_eq!(cache.misses(), 2);
+    }
+
+    #[test]
+    fn meter_charges_the_stored_frontier_not_every_insert() {
+        let fps = [support_fingerprint(0, &[0b11])];
+        let cache = StripedVerdictCache::new(&fps);
+        // A rising safe chain: each point evicts its predecessor, and
+        // the falling replay is implied, so one point stays stored.
+        for i in (0..1000).chain((0..1000).rev()) {
+            cache.insert(0, &t(&[i, i]), true);
+        }
+        let point = ENTRY_BASE_BYTES + 2 * std::mem::size_of::<Time>() as u64;
+        assert_eq!(cache.charged_bytes(), point);
+        // A falling unsafe chain does the same on the other frontier.
+        for i in (0..1000).rev() {
+            cache.insert(0, &t(&[i + 2000, i + 2000]), false);
+        }
+        assert_eq!(cache.charged_bytes(), 2 * point);
     }
 
     #[test]
@@ -326,7 +328,7 @@ mod tests {
     #[test]
     fn single_flight_waiter_gets_owners_verdict() {
         let fps = [support_fingerprint(0, &[0b1])];
-        let cache = StripedVerdictCache::new(CacheStrategy::Exact, &fps);
+        let cache = StripedVerdictCache::new(&fps);
         assert_eq!(cache.claim(0, &t(&[7])), Claim::Owner);
         std::thread::scope(|s| {
             let waiter = s.spawn(|| cache.claim(0, &t(&[7])));
@@ -342,7 +344,7 @@ mod tests {
     #[test]
     fn abandon_promotes_a_waiter_to_owner() {
         let fps = [support_fingerprint(0, &[0b1])];
-        let cache = StripedVerdictCache::new(CacheStrategy::Dominance, &fps);
+        let cache = StripedVerdictCache::new(&fps);
         assert_eq!(cache.claim(0, &t(&[3])), Claim::Owner);
         std::thread::scope(|s| {
             let waiter = s.spawn(|| cache.claim(0, &t(&[3])));
@@ -355,20 +357,27 @@ mod tests {
 
     #[test]
     fn reclaim_frees_verdicts_but_respects_the_floor() {
-        let fps: Vec<u64> = (0..4)
+        const CONES: i64 = 16;
+        let fps: Vec<u64> = (0..CONES as usize)
             .map(|c| support_fingerprint(c, &[c as u64]))
             .collect();
-        let cache = StripedVerdictCache::new(CacheStrategy::Exact, &fps);
+        let cache = StripedVerdictCache::new(&fps);
         cache.insert(0, &t(&[1, 2]), true);
         // Below the floor: the sweep is a no-op and verdicts survive.
         assert_eq!(cache.reclaim(), 0);
         assert_eq!(cache.query(0, &t(&[1, 2])), Some(true));
-        // Push past the floor, then the sweep really clears.
-        let needed = (RECLAIM_FLOOR_BYTES / ENTRY_BASE_BYTES) as i64 + 1;
-        for i in 0..needed {
-            cache.insert((i % 4) as usize, &t(&[i, i + 1]), true);
+        // Push past the floor with an antichain per cone (every point
+        // is stored), then the sweep really clears.
+        let point = ENTRY_BASE_BYTES + 2 * std::mem::size_of::<Time>() as u64;
+        let per_cone = (RECLAIM_FLOOR_BYTES / point) as i64 / CONES + 1;
+        for c in 0..CONES {
+            for i in 0..per_cone {
+                cache.insert(c as usize, &t(&[i, per_cone - i]), true);
+            }
         }
+        assert!(cache.charged_bytes() >= RECLAIM_FLOOR_BYTES);
         assert!(cache.reclaim() >= RECLAIM_FLOOR_BYTES);
+        assert_eq!(cache.charged_bytes(), 0);
         assert_eq!(cache.query(0, &t(&[1, 2])), None, "verdicts were swept");
     }
 
@@ -386,54 +395,52 @@ mod tests {
         let threshold = |cone: usize| 10 + 3 * cone as i64;
         let safe =
             |cone: usize, p: &[Time]| p.iter().map(|x| x.ticks()).sum::<i64>() <= threshold(cone);
-        for strategy in [CacheStrategy::Exact, CacheStrategy::Dominance] {
-            let fps: Vec<u64> = (0..CONES)
-                .map(|c| support_fingerprint(c, &[0b111]))
-                .collect();
-            let cache = StripedVerdictCache::new(strategy, &fps);
-            // Deterministic per-thread point streams (xorshift).
-            let points_for = |seed: u64| -> Vec<(usize, Vec<Time>)> {
-                let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-                let mut next = || {
-                    s ^= s << 13;
-                    s ^= s >> 7;
-                    s ^= s << 17;
-                    s
-                };
-                (0..POINTS)
-                    .map(|_| {
-                        let cone = (next() % CONES as u64) as usize;
-                        let p: Vec<Time> = (0..3).map(|_| Time::new((next() % 8) as i64)).collect();
-                        (cone, p)
-                    })
-                    .collect()
+        let fps: Vec<u64> = (0..CONES)
+            .map(|c| support_fingerprint(c, &[0b111]))
+            .collect();
+        let cache = StripedVerdictCache::new(&fps);
+        // Deterministic per-thread point streams (xorshift).
+        let points_for = |seed: u64| -> Vec<(usize, Vec<Time>)> {
+            let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = || {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                s
             };
-            std::thread::scope(|scope| {
-                for w in 0..THREADS {
-                    let cache = &cache;
-                    scope.spawn(move || {
-                        for (cone, p) in points_for(w as u64 + 1) {
-                            let truth = safe(cone, &p);
-                            if let Some(v) = cache.query(cone, &p) {
-                                assert_eq!(v, truth, "false hit for cone {cone} at {p:?}");
-                            }
-                            cache.insert(cone, &p, truth);
-                        }
-                    });
-                }
-            });
-            // No lost verdicts: every point any thread inserted must now
-            // answer, and answer the ground truth.
+            (0..POINTS)
+                .map(|_| {
+                    let cone = (next() % CONES as u64) as usize;
+                    let p: Vec<Time> = (0..3).map(|_| Time::new((next() % 8) as i64)).collect();
+                    (cone, p)
+                })
+                .collect()
+        };
+        std::thread::scope(|scope| {
             for w in 0..THREADS {
-                for (cone, p) in points_for(w as u64 + 1) {
-                    assert_eq!(
-                        cache.query(cone, &p),
-                        Some(safe(cone, &p)),
-                        "lost or wrong verdict for cone {cone} at {p:?} ({strategy:?})"
-                    );
-                }
+                let cache = &cache;
+                scope.spawn(move || {
+                    for (cone, p) in points_for(w as u64 + 1) {
+                        let truth = safe(cone, &p);
+                        if let Some(v) = cache.query(cone, &p) {
+                            assert_eq!(v, truth, "false hit for cone {cone} at {p:?}");
+                        }
+                        cache.insert(cone, &p, truth);
+                    }
+                });
             }
-            assert!(cache.hits() > 0);
+        });
+        // No lost verdicts: every point any thread inserted must now
+        // answer, and answer the ground truth.
+        for w in 0..THREADS {
+            for (cone, p) in points_for(w as u64 + 1) {
+                assert_eq!(
+                    cache.query(cone, &p),
+                    Some(safe(cone, &p)),
+                    "lost or wrong verdict for cone {cone} at {p:?}"
+                );
+            }
         }
+        assert!(cache.hits() > 0);
     }
 }

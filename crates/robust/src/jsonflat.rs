@@ -25,6 +25,8 @@ pub fn escape(s: &str) -> String {
 /// Parses a single-level JSON object into key/value pairs in source
 /// order. String values are unescaped; numbers and booleans are
 /// returned as their raw token text. No nested objects or arrays.
+/// Whitespace between tokens is skipped, so compact records and
+/// pretty-printed ones (`{"k": "v", "n": 1}`) read the same.
 pub fn parse_flat_object(s: &str) -> Result<Vec<(String, String)>, String> {
     let mut chars = s.trim().chars().peekable();
     let mut fields = Vec::new();
@@ -32,15 +34,18 @@ pub fn parse_flat_object(s: &str) -> Result<Vec<(String, String)>, String> {
         return Err(format!("record does not start with '{{': {s}"));
     }
     loop {
+        skip_ws(&mut chars);
         match chars.peek() {
             Some('}') => break,
             Some('"') => {}
             other => return Err(format!("expected key, found {other:?} in {s}")),
         }
         let key = parse_string(&mut chars)?;
+        skip_ws(&mut chars);
         if chars.next() != Some(':') {
             return Err(format!("missing ':' after {key:?} in {s}"));
         }
+        skip_ws(&mut chars);
         let value = match chars.peek() {
             Some('"') => parse_string(&mut chars)?,
             Some(_) => {
@@ -57,6 +62,7 @@ pub fn parse_flat_object(s: &str) -> Result<Vec<(String, String)>, String> {
             None => return Err(format!("truncated record: {s}")),
         };
         fields.push((key, value));
+        skip_ws(&mut chars);
         match chars.next() {
             Some(',') => continue,
             Some('}') => return Ok(fields),
@@ -65,6 +71,14 @@ pub fn parse_flat_object(s: &str) -> Result<Vec<(String, String)>, String> {
     }
     chars.next();
     Ok(fields)
+}
+
+/// Advances past JSON whitespace (space, tab, newline, carriage return).
+fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars>) {
+    while chars
+        .next_if(|c| matches!(c, ' ' | '\t' | '\n' | '\r'))
+        .is_some()
+    {}
 }
 
 /// Parses a JSON string literal (cursor on the opening quote).
@@ -164,6 +178,20 @@ mod tests {
                 ("esc".into(), "q\"\n".into()),
             ]
         );
+    }
+
+    #[test]
+    fn skips_whitespace_between_tokens() {
+        let spaced = "{ \"a\" : \"x y\", \"n\": 42 ,\t\"b\":\ntrue }";
+        assert_eq!(
+            parse_flat_object(spaced).unwrap(),
+            vec![
+                ("a".into(), "x y".into()),
+                ("n".into(), "42".into()),
+                ("b".into(), "true".into()),
+            ]
+        );
+        assert_eq!(parse_flat_object("{ }").unwrap(), vec![]);
     }
 
     #[test]

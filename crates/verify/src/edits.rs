@@ -30,7 +30,7 @@ use xrta_timing::{topological_delays, UnitDelay};
 
 use crate::corpus::{load_dir, save, CorpusEntry};
 use crate::harness::{mix64, spec_for_seed};
-use crate::shrink::TestCase;
+use crate::shrink::{minimise, TestCase};
 
 /// One engineering change order, keyed by node *name* so that stale
 /// ops degrade to no-ops instead of corrupting the netlist.
@@ -444,34 +444,25 @@ pub fn first_disagreement(states: &[CorpusEntry]) -> Option<usize> {
 }
 
 /// Minimises a failing edit script: truncate to the failing prefix,
-/// then greedily drop single edits while `fails` still reports a
-/// disagreement. `fails` receives a candidate script and returns the
-/// failing state index, if any.
+/// then greedily drop single edits (`minimise`) while `fails` still
+/// reports a disagreement. `fails` receives a candidate script and
+/// returns the failing state index, if any.
 pub fn shrink_edits(
     edits: &[EditOp],
     step: usize,
     mut fails: impl FnMut(&[EditOp]) -> Option<usize>,
 ) -> (Vec<EditOp>, usize) {
-    let mut best: Vec<EditOp> = edits[..step.min(edits.len())].to_vec();
-    let mut best_step = step;
-    loop {
-        let mut improved = false;
-        let mut i = 0;
-        while i < best.len() {
-            let mut candidate = best.clone();
-            candidate.remove(i);
-            if let Some(s) = fails(&candidate) {
-                best = candidate;
-                best_step = s;
-                improved = true;
-            } else {
-                i += 1;
-            }
-        }
-        if !improved {
-            return (best, best_step);
-        }
-    }
+    let drop_one = |script: &Vec<EditOp>| {
+        (0..script.len())
+            .map(|i| {
+                let mut cand = script.clone();
+                cand.remove(i);
+                cand
+            })
+            .collect()
+    };
+    let prefix = edits[..step.min(edits.len())].to_vec();
+    minimise(prefix, step, drop_one, |cand| fails(cand))
 }
 
 /// Options for [`eco_fuzz`].

@@ -1,8 +1,13 @@
-//! Greedy test-case minimisation for failing netlists.
+//! Greedy test-case minimisation.
+//!
+//! `minimise` is the one greedy loop every shrinker in the crate runs:
+//! take the first candidate reduction that still fails, and repeat
+//! until none does. [`shrink`] drives it over failing netlists, and
+//! [`crate::edits::shrink_edits`] over failing edit scripts.
 //!
 //! Given a failing [`TestCase`] (one on which some differential check
-//! fires), the shrinker repeatedly tries structural reductions and
-//! keeps any that still fail, until no reduction applies:
+//! fires), [`shrink`] tries structural reductions and keeps any that
+//! still fail, until no reduction applies:
 //!
 //! 1. **Drop a primary output** — re-check on the cone of the
 //!    remaining outputs with the matching required-time slice.
@@ -163,6 +168,31 @@ fn candidates(case: &TestCase) -> Vec<TestCase> {
     out
 }
 
+/// The greedy minimisation loop: replaces `start` by the first of its
+/// `reductions` on which `fails` reports a failure, and repeats until
+/// no reduction fails. `fails` returns a witness of the failure (such as
+/// the step it was seen at); the result pairs the final case with the
+/// witness of the last accepted reduction, or with `witness` when none
+/// was accepted. `reductions` must yield strictly smaller cases, so the
+/// loop terminates.
+pub(crate) fn minimise<T, W>(
+    start: T,
+    witness: W,
+    reductions: impl Fn(&T) -> Vec<T>,
+    mut fails: impl FnMut(&T) -> Option<W>,
+) -> (T, W) {
+    let (mut current, mut witness) = (start, witness);
+    'outer: loop {
+        for cand in reductions(&current) {
+            if let Some(w) = fails(&cand) {
+                (current, witness) = (cand, w);
+                continue 'outer;
+            }
+        }
+        return (current, witness);
+    }
+}
+
 /// Greedily minimises a failing test case.
 ///
 /// `fails` must return `true` on `case` itself (the shrinker asserts
@@ -170,16 +200,12 @@ fn candidates(case: &TestCase) -> Vec<TestCase> {
 /// reduction.
 pub fn shrink(case: &TestCase, mut fails: impl FnMut(&TestCase) -> bool) -> TestCase {
     assert!(fails(case), "shrink needs a failing starting point");
-    let mut current = case.clone();
-    'outer: loop {
-        for cand in candidates(&current) {
-            if cand.size() < current.size() && fails(&cand) {
-                current = cand;
-                continue 'outer;
-            }
-        }
-        return current;
-    }
+    let smaller = |c: &TestCase| {
+        let mut cands = candidates(c);
+        cands.retain(|cand| cand.size() < c.size());
+        cands
+    };
+    minimise(case.clone(), (), smaller, |c| fails(c).then_some(())).0
 }
 
 #[cfg(test)]

@@ -56,7 +56,7 @@ pub mod prelude {
     pub use xrta_core::{
         approx1_required_times, approx2_required_times, exact_required_times, run_with_fallback,
         subcircuit_arrival_times, subcircuit_required_times, true_slack, AnalysisError,
-        Approx1Options, Approx2Options, ArrivalFlexOptions, Budget, CacheStrategy, ExactOptions,
+        Approx1Options, Approx2Options, ArrivalFlexOptions, Budget, ExactOptions,
         RequiredTimeTuple, SessionAnswer, SessionOptions, SessionReport, ValueTimes, Verdict,
     };
     pub use xrta_network::{GateKind, Network, NodeId};
