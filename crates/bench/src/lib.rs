@@ -12,8 +12,8 @@
 use std::time::{Duration, Instant};
 
 use xrta_core::{
-    approx1_required_times, approx2_required_times, exact_required_times, Approx1Options,
-    Approx2Options, ExactOptions,
+    approx1_required_times, approx2_required_times_governed, exact_required_times, Approx1Options,
+    Approx2Options, Budget, ExactOptions,
 };
 use xrta_network::Network;
 use xrta_timing::{Time, UnitDelay};
@@ -169,12 +169,11 @@ pub fn run_approx2(net: &Network, budget: Duration) -> Approx2Report {
 /// Table-2 harness compares.
 pub fn run_approx2_with(net: &Network, budget: Duration, threads: usize) -> Approx2Report {
     let req = zero_required(net);
-    let r = approx2_required_times(
+    let r = approx2_required_times_governed(
         net,
         &UnitDelay,
         &req,
         Approx2Options {
-            time_budget: Some(budget),
             max_solutions: 4,
             max_oracle_calls: 1_000_000,
             // Keep any single oracle query bounded so the wall-clock
@@ -185,7 +184,9 @@ pub fn run_approx2_with(net: &Network, budget: Duration, threads: usize) -> Appr
             threads,
             ..Approx2Options::default()
         },
-    );
+        &Budget::unlimited().with_timeout(budget),
+    )
+    .expect("a deadline stop returns the partial result; nothing cancels this budget");
     let nontrivial = r.has_nontrivial_requirement() || r.first_nontrivial.is_some();
     let outcome = if r.completed {
         RunOutcome::Done {

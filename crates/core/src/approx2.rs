@@ -112,10 +112,6 @@ pub struct Approx2Options {
     pub max_solutions: usize,
     /// Stop after this many oracle invocations.
     pub max_oracle_calls: usize,
-    /// Wall-clock budget (the paper's 12-hour cap, scaled down). Also
-    /// enforced *inside* long-running oracle probes, as an engine
-    /// deadline.
-    pub time_budget: Option<Duration>,
     /// SAT-conflict budget per oracle query; inconclusive queries count
     /// as unsafe (sound: a candidate is only accepted when provably
     /// safe). `None` = unlimited.
@@ -146,7 +142,6 @@ impl Default for Approx2Options {
             allow_never: true,
             max_solutions: 8,
             max_oracle_calls: 10_000,
-            time_budget: None,
             oracle_conflict_budget: None,
             oracle_propagation_budget: None,
             cluster_stride: 1,
@@ -359,12 +354,10 @@ struct OracleShared {
     cones: Vec<Cone>,
     options: Approx2Options,
     /// The caller's budget (a clone, sharing its cancel flag), polled
-    /// between rounds and at probe entry.
+    /// between rounds and at probe entry; its deadline is installed
+    /// into every χ engine so a single long probe cannot blow through
+    /// it.
     budget: Budget,
-    /// Earliest of the governor deadline and the options' own
-    /// wall-clock budget; installed into every χ engine so a single
-    /// long probe cannot blow through [`Approx2Options::time_budget`].
-    engine_deadline: Option<Instant>,
     started: Instant,
     cache: StripedVerdictCache,
     oracle_calls: AtomicUsize,
@@ -385,12 +378,6 @@ struct OracleShared {
 }
 
 impl OracleShared {
-    fn time_exhausted(&self) -> bool {
-        self.options
-            .time_budget
-            .is_some_and(|b| self.started.elapsed() >= b)
-    }
-
     /// Builds the batch's shared selector-guarded SAT engine, with the
     /// same fault-injection site the per-probe engines of the BDD path
     /// evaluate during construction.
@@ -414,7 +401,7 @@ impl OracleShared {
         );
         eng.set_conflict_budget(self.options.oracle_conflict_budget);
         eng.set_propagation_budget(self.options.oracle_propagation_budget);
-        eng.set_deadline(self.engine_deadline);
+        eng.set_deadline(self.budget.deadline());
         eng.set_cancel_flag(Some(self.budget.cancel_flag()));
         eng.set_mem_limit(self.budget.mem_limit());
         Ok(eng)
@@ -429,7 +416,7 @@ impl OracleShared {
             .with_propagation_budget(self.options.oracle_propagation_budget)
             .with_node_limit(self.budget.node_limit())
             .with_mem_limit(self.budget.mem_limit())
-            .with_deadline(self.engine_deadline)
+            .with_deadline(self.budget.deadline())
             .with_cancel_flag(Some(self.budget.cancel_flag()))
             .try_stable_by(cone.out, cone.required)
     }
@@ -551,14 +538,6 @@ fn execute_batch(shared: &OracleShared, batch: &Batch) -> BatchOut {
             Claim::Owner => true,
             Claim::TimedOut => false,
         };
-        if shared.time_exhausted() {
-            if owned {
-                shared.cache.abandon(batch.cone, &proj);
-            }
-            out.truncated = true;
-            out.verdicts.push((k, None));
-            continue;
-        }
         let end = run_probe(shared, batch.cone, &proj, owned, || {
             match shared.options.engine {
                 EngineKind::Sat => {
@@ -596,9 +575,9 @@ fn execute_batch(shared: &OracleShared, batch: &Batch) -> BatchOut {
                 out.truncated = true;
                 None
             }
-            // The engine deadline is the tighter of the governor's
-            // deadline and the options' own wall-clock budget —
-            // attribute accordingly.
+            // The engine deadline is the budget's; a deadline stop
+            // before it has passed is an injected fault, which
+            // truncates the round rather than ending the search.
             ProbeEnd::Interrupted(BddError::Deadline) => {
                 if shared
                     .budget
@@ -635,7 +614,7 @@ fn execute_spec(shared: &OracleShared, spec: &SpecProbe) {
         if shared.spec_version.load(Ordering::Acquire) != spec.version {
             return; // Stale: the climb has moved its base since.
         }
-        if shared.budget.check().is_err() || shared.time_exhausted() {
+        if shared.budget.check().is_err() {
             return;
         }
         let owned = match shared.cache.claim(*c, proj) {
@@ -919,10 +898,6 @@ impl Search {
         assert!(rungs.len() <= 64, "round bitmask width");
         if let Err(e) = self.shared.budget.check() {
             self.interrupted.get_or_insert(e);
-            self.out_of_budget = true;
-            return None;
-        }
-        if self.shared.time_exhausted() {
             self.out_of_budget = true;
             return None;
         }
@@ -1297,16 +1272,10 @@ pub fn approx2_required_times_governed<D: DelayModel>(
         .enumerate()
         .map(|(c, cone)| support_fingerprint(c, &cone.mask))
         .collect();
-    let time_cap = options.time_budget.map(|b| started + b);
-    let engine_deadline = match (budget.deadline(), time_cap) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
-    };
     let shared = Arc::new(OracleShared {
         cones,
         options,
         budget: budget.clone(),
-        engine_deadline,
         started,
         cache: StripedVerdictCache::new(&fingerprints),
         oracle_calls: AtomicUsize::new(0),

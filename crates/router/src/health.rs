@@ -1,4 +1,4 @@
-//! Per-shard health: ejection, half-open probing, admission bias.
+//! Per-shard health: ejection, half-open probing, drain.
 //!
 //! The state machine the prober and the data path share:
 //!
@@ -14,18 +14,14 @@
 //! A drained shard lands in `Ejected` on purpose: when the operator
 //! restarts the process on the same address, the ordinary half-open
 //! probe reinstates it with no extra operator step.
-//!
-//! Orthogonally, a `busy` response marks the shard *biased* for a
-//! short window: still healthy, still usable as a last resort, but
-//! the router prefers unbiased replicas first — admission feedback
-//! steers load away before the shard's queue overflows.
 
 use std::time::{Duration, Instant};
 
 /// Where a shard sits in the ejection/probing lifecycle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ShardState {
     /// Routable.
+    #[default]
     Healthy,
     /// Recently failing; not routed to until the cooldown passes.
     Ejected,
@@ -42,8 +38,6 @@ pub struct HealthPolicy {
     pub eject_after: u32,
     /// How long an ejected shard rests before a half-open probe.
     pub cooldown: Duration,
-    /// How long a `busy` response biases routing away from a shard.
-    pub busy_bias: Duration,
 }
 
 impl Default for HealthPolicy {
@@ -51,30 +45,17 @@ impl Default for HealthPolicy {
         HealthPolicy {
             eject_after: 3,
             cooldown: Duration::from_secs(1),
-            busy_bias: Duration::from_millis(250),
         }
     }
 }
 
-/// One shard's live health record. All methods take `now` so tests
-/// can drive the clock explicitly.
-#[derive(Clone, Debug)]
+/// One shard's live health record (starts `Healthy`). Every method
+/// that reads the clock takes `now` so tests can drive it explicitly.
+#[derive(Clone, Debug, Default)]
 pub struct ShardHealth {
     state: ShardState,
     consecutive_failures: u32,
     ejected_at: Option<Instant>,
-    busy_until: Option<Instant>,
-}
-
-impl Default for ShardHealth {
-    fn default() -> Self {
-        ShardHealth {
-            state: ShardState::Healthy,
-            consecutive_failures: 0,
-            ejected_at: None,
-            busy_until: None,
-        }
-    }
 }
 
 /// What a recorded event changed, so callers can bump counters.
@@ -97,11 +78,6 @@ impl ShardHealth {
     /// May the data path route a fresh request here?
     pub fn routable(&self) -> bool {
         self.state == ShardState::Healthy
-    }
-
-    /// Is the shard under a busy bias right now?
-    pub fn biased(&self, now: Instant) -> bool {
-        self.busy_until.map(|t| now < t) == Some(true)
     }
 
     /// A request or probe succeeded.
@@ -137,11 +113,6 @@ impl ShardHealth {
             }
             _ => Transition::None,
         }
-    }
-
-    /// Marks a `busy` shed: healthy, but deprioritised for a window.
-    pub fn note_busy(&mut self, policy: &HealthPolicy, now: Instant) {
-        self.busy_until = Some(now + policy.busy_bias);
     }
 
     /// Called by the prober: if the cooldown has passed, advance
@@ -183,7 +154,6 @@ mod tests {
         HealthPolicy {
             eject_after: 3,
             cooldown: Duration::from_millis(50),
-            busy_bias: Duration::from_millis(40),
         }
     }
 
@@ -227,18 +197,6 @@ mod tests {
         assert!(h.due_for_probe(&p, t2));
         assert_eq!(h.record_success(), Transition::Reinstated);
         assert_eq!(h.state(), ShardState::Healthy);
-    }
-
-    #[test]
-    fn busy_bias_expires_on_its_own() {
-        let p = policy();
-        let now = Instant::now();
-        let mut h = ShardHealth::default();
-        assert!(!h.biased(now));
-        h.note_busy(&p, now);
-        assert!(h.biased(now));
-        assert!(h.routable(), "biased is not ejected");
-        assert!(!h.biased(now + Duration::from_millis(50)));
     }
 
     #[test]

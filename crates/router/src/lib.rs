@@ -9,14 +9,14 @@
 //!   so identical requests always land on the same shard and the
 //!   shard-local caches stay hot;
 //! * [`health`] — per-shard state machine: consecutive-failure
-//!   ejection, cooldown, half-open probing, busy bias, drain;
+//!   ejection, cooldown, half-open probing, drain;
 //! * [`pool`] — per-shard connection pools with connect/read/write
 //!   deadlines;
 //! * [`router`] — the accept loop and data path: router-side
-//!   single-flight dedup, failover along the ring with seeded
-//!   backoff, hedged second attempts on latency, cache-warming of hot
-//!   keys onto the next replica, rolling drain, aggregated
-//!   cluster-wide stats.
+//!   single-flight dedup, one forward at a time along the ring
+//!   (failing over on transport errors and `busy` sheds) with seeded
+//!   backoff between rounds, rolling drain, aggregated cluster-wide
+//!   stats.
 //!
 //! Responses are forwarded byte-for-byte, so the cache's byte-identity
 //! guarantee — one key, one encoding, no matter who asks — holds

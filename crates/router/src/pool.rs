@@ -10,12 +10,12 @@
 //! back through the remaining idle connections and finally a fresh
 //! dial before reporting failure.
 
-use std::io::{self, Read};
+use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use xrta_serve::proto::write_frame;
+use xrta_serve::proto::{read_frame, write_frame};
 
 /// Deadlines for everything a pooled connection does.
 #[derive(Clone, Copy, Debug)]
@@ -119,27 +119,12 @@ impl ShardPool {
     }
 }
 
-/// One strict frame round-trip on an already-deadlined stream.
+/// One frame round-trip on an already-deadlined stream. Any timeout
+/// is a hard error — the pool's deadlines are real deadlines, unlike
+/// the server's patient reader.
 fn roundtrip_on(stream: &mut TcpStream, payload: &[u8]) -> io::Result<Vec<u8>> {
     write_frame(stream, payload)?;
-    read_frame_strict(stream)
-}
-
-/// Reads one frame treating *any* timeout as a hard error — the pool's
-/// deadlines are real deadlines, unlike the server's patient reader.
-fn read_frame_strict(stream: &mut TcpStream) -> io::Result<Vec<u8>> {
-    let mut len_bytes = [0u8; 4];
-    stream.read_exact(&mut len_bytes)?;
-    let len = u32::from_be_bytes(len_bytes) as usize;
-    if len > xrta_serve::MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("peer announced a {len}-byte frame"),
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload)?;
-    Ok(payload)
+    read_frame(stream)
 }
 
 #[cfg(test)]
@@ -147,7 +132,6 @@ mod tests {
     use std::net::TcpListener;
 
     use super::*;
-    use xrta_serve::proto::read_frame;
 
     fn echo_server(conns: usize) -> (SocketAddr, std::thread::JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();

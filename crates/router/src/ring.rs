@@ -4,10 +4,9 @@
 //! by FNV-1a over `"{addr}#{vnode}"`. A request's point (the folded
 //! content-addressed cache key) routes to the first shard clockwise
 //! from it; [`Ring::order_for`] returns *all* shards in that clockwise
-//! preference order, which is exactly the failover / hedging / warming
-//! sequence — removing one shard only reassigns the keys that mapped
-//! to it, everything else keeps its owner and therefore its cache
-//! locality.
+//! preference order, which is exactly the failover sequence — removing
+//! one shard only reassigns the keys that mapped to it, everything else
+//! keeps its owner and therefore its cache locality.
 
 /// Virtual nodes per shard. 64 keeps the per-shard load spread within
 /// a few percent for the cluster sizes this tier targets (2–32).

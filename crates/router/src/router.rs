@@ -1,5 +1,5 @@
 //! The routing front-end: accept loop, consistent-hash forwarding,
-//! failover, hedging, warming, rolling drain.
+//! failover, rolling drain.
 //!
 //! The router speaks the same length-prefixed protocol as `xrta serve`
 //! on both sides: clients cannot tell a router from a single daemon,
@@ -11,25 +11,19 @@
 //! 2. deduplicate concurrent identical requests router-side (one
 //!    forward serves every concurrent asker, reusing the serve
 //!    crate's [`Coordinator`] over a zero-capacity cache);
-//! 3. forward to the first healthy shard in ring order; if the shard
-//!    exceeds the hedge threshold, race a second attempt on the next
-//!    replica and take whichever answers first;
-//! 4. on transport failure, fail over along the ring with seeded
-//!    backoff between rounds; `busy` sheds bias routing away from the
-//!    shard for a window before trying the next replica;
-//! 5. hot keys (seen [`RouterOptions::warm_hits`] times) are replayed
-//!    once to the next replica in the background, so the key's
-//!    failover target already holds the answer when its primary dies.
+//! 3. forward to each routable shard in ring order, on the calling
+//!    thread, until one answers; a transport failure or a
+//!    `busy`/`shutting_down` shed moves on to the next replica;
+//! 4. when a whole round fails, retry it with seeded backoff.
 //!
 //! Responses are forwarded **byte-for-byte** — the router never
 //! re-encodes an answer, so the byte-identity guarantee of the
 //! content-addressed cache survives the extra hop.
 
-use std::collections::HashMap;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use xrta_rng::Rng;
@@ -58,16 +52,10 @@ pub struct RouterOptions {
     pub shards: Vec<String>,
     /// How often the prober pings every non-draining shard.
     pub probe_interval: Duration,
-    /// Ejection / half-open / busy-bias tunables.
+    /// Ejection / half-open tunables.
     pub health: HealthPolicy,
     /// Connection-pool deadlines.
     pub pool: PoolOptions,
-    /// Latency threshold after which a hedged second attempt is raced
-    /// on the next replica.
-    pub hedge_after: Duration,
-    /// Requests for one key before it is warmed onto the next replica;
-    /// `0` disables warming.
-    pub warm_hits: u64,
     /// Backoff between failover rounds.
     pub retry: BackoffPolicy,
     /// Wall-clock cap across one request's failover rounds.
@@ -92,8 +80,6 @@ impl Default for RouterOptions {
             probe_interval: Duration::from_millis(200),
             health: HealthPolicy::default(),
             pool: PoolOptions::default(),
-            hedge_after: Duration::from_millis(150),
-            warm_hits: 3,
             retry: BackoffPolicy {
                 base: Duration::from_millis(50),
                 cap: Duration::from_secs(1),
@@ -117,18 +103,12 @@ pub struct RouterStats {
     pub answered: AtomicU64,
     /// Concurrent duplicates served by another request's forward.
     pub deduped: AtomicU64,
-    /// Forward attempts sent to shards (including hedges and warms).
+    /// Forward attempts sent to shards (one per candidate tried).
     pub forwards: AtomicU64,
     /// Failover rounds that ended in a backoff sleep and a re-try.
     pub retries: AtomicU64,
-    /// Hedged second attempts launched on latency.
-    pub hedges: AtomicU64,
-    /// Hedged attempts that won the race.
-    pub hedge_wins: AtomicU64,
     /// `busy`/`shutting_down` sheds redirected to another replica.
     pub busy_redirects: AtomicU64,
-    /// Hot keys replayed to their next replica.
-    pub warms: AtomicU64,
     /// Rolling drains completed.
     pub drains: AtomicU64,
     /// Shards ejected by consecutive failures.
@@ -152,14 +132,8 @@ pub struct RouterSnapshot {
     pub forwards: u64,
     /// See [`RouterStats::retries`].
     pub retries: u64,
-    /// See [`RouterStats::hedges`].
-    pub hedges: u64,
-    /// See [`RouterStats::hedge_wins`].
-    pub hedge_wins: u64,
     /// See [`RouterStats::busy_redirects`].
     pub busy_redirects: u64,
-    /// See [`RouterStats::warms`].
-    pub warms: u64,
     /// See [`RouterStats::drains`].
     pub drains: u64,
     /// See [`RouterStats::ejections`].
@@ -179,10 +153,7 @@ impl RouterStats {
             deduped: get(&self.deduped),
             forwards: get(&self.forwards),
             retries: get(&self.retries),
-            hedges: get(&self.hedges),
-            hedge_wins: get(&self.hedge_wins),
             busy_redirects: get(&self.busy_redirects),
-            warms: get(&self.warms),
             drains: get(&self.drains),
             ejections: get(&self.ejections),
             reinstatements: get(&self.reinstatements),
@@ -196,16 +167,13 @@ impl RouterSnapshot {
     pub fn render_line(&self) -> String {
         format!(
             "route: {} requests | {} forwards | {} deduped | {} retries | \
-             {} hedges ({} won) | {} busy redirects | {} warms | {} drains | \
-             {} ejections {} reinstatements | {} errors",
+             {} busy redirects | {} drains | {} ejections {} reinstatements | \
+             {} errors",
             self.requests,
             self.forwards,
             self.deduped,
             self.retries,
-            self.hedges,
-            self.hedge_wins,
             self.busy_redirects,
-            self.warms,
             self.drains,
             self.ejections,
             self.reinstatements,
@@ -232,8 +200,6 @@ struct Inner {
     /// dedup — concurrent identical requests share one forward, but
     /// the router never stores results (the shards own the cache).
     dedup: Coordinator,
-    /// Hot-key counters for cache warming, keyed by ring point.
-    hot: Mutex<HashMap<u64, u64>>,
     shutdown: AtomicBool,
     /// Open client connections (shutdown waits for them, bounded).
     conns: AtomicU64,
@@ -336,7 +302,6 @@ pub fn start(options: RouterOptions) -> io::Result<RouterHandle> {
         ring: Ring::new(&options.shards),
         shards,
         dedup: Coordinator::new(ResultCache::open(0, None)?),
-        hot: Mutex::new(HashMap::new()),
         shutdown: AtomicBool::new(false),
         conns: AtomicU64::new(0),
         stats: RouterStats::default(),
@@ -399,7 +364,7 @@ fn listen_loop(listener: TcpListener, inner: &Arc<Inner>) {
     }
 }
 
-fn connection_loop(mut stream: TcpStream, inner: &Arc<Inner>) {
+fn connection_loop(mut stream: TcpStream, inner: &Inner) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let _ = stream.set_write_timeout(Some(inner.options.frame_deadline));
     let _ = stream.set_nodelay(true);
@@ -449,21 +414,20 @@ fn connection_loop(mut stream: TcpStream, inner: &Arc<Inner>) {
     }
 }
 
-/// Routes one analyze/delta request end-to-end: key, dedup, forward,
-/// warm. `payload` is the client's frame, forwarded verbatim; `domain`
+/// Routes one analyze/delta request end-to-end: key, dedup, forward.
+/// `payload` is the client's frame, forwarded verbatim; `domain`
 /// keeps analyze and delta flights for the same content from sharing a
 /// dedup key (their responses differ, so a follower must never get the
 /// other verb's bytes). Delta requests route like analyze — the
 /// full-content key keeps a netlist's deltas (hence their cone cache)
 /// pinned to one shard, consistent-hash compatible with the rest of
 /// the traffic.
-fn route_analyze(inner: &Arc<Inner>, a: &AnalyzeRequest, payload: &[u8], domain: &str) -> Vec<u8> {
+fn route_analyze(inner: &Inner, a: &AnalyzeRequest, payload: &[u8], domain: &str) -> Vec<u8> {
     inner.stats.requests.fetch_add(1, Ordering::Relaxed);
     // Budgets are excluded from the routing key (shards clamp and tag
     // budgets themselves); the "route" tag keeps these keys disjoint
     // from any real cache namespace.
     let key = CacheKey::compute(&a.netlist, domain, &a.req, a.algo, a.engine, "route");
-    let point = key.route_point();
     let bytes = match inner.dedup.dispatch(key) {
         // Unreachable with a zero-capacity cache, but correct anyway.
         Dispatch::Hit(bytes, _) => bytes,
@@ -476,39 +440,34 @@ fn route_analyze(inner: &Arc<Inner>, a: &AnalyzeRequest, payload: &[u8], domain:
             })
         }
         Dispatch::Lead => {
-            let bytes = forward(inner, point, payload);
+            let bytes = forward(inner, key.route_point(), payload);
             inner.dedup.complete(key, &bytes, false);
             bytes
         }
     };
     if bytes.starts_with(ANSWER_PREFIX) {
         inner.stats.answered.fetch_add(1, Ordering::Relaxed);
-        maybe_warm(inner, point, payload);
     }
     bytes
 }
 
 /// The shards worth trying for this round, in ring preference order:
-/// healthy-and-unbiased first; failing that, healthy-but-busy-biased;
-/// failing that, anything not draining (a last-ditch sweep so an
-/// all-ejected cluster still gets one honest connection attempt).
-fn pick_candidates(inner: &Inner, order: &[usize], now: Instant) -> Vec<usize> {
-    let with = |accept: &dyn Fn(&ShardHealth) -> bool| -> Vec<usize> {
+/// the healthy ones; failing that, anything not draining (a last-ditch
+/// sweep so an all-ejected cluster still gets one honest connection
+/// attempt).
+fn pick_candidates(inner: &Inner, order: &[usize]) -> Vec<usize> {
+    let with = |accept: fn(&ShardHealth) -> bool| -> Vec<usize> {
         order
             .iter()
             .copied()
             .filter(|&i| accept(&inner.shards[i].health.lock().unwrap()))
             .collect()
     };
-    let fresh = with(&|h| h.routable() && !h.biased(now));
-    if !fresh.is_empty() {
-        return fresh;
-    }
-    let routable = with(&|h| h.routable());
+    let routable = with(ShardHealth::routable);
     if !routable.is_empty() {
         return routable;
     }
-    with(&|h| h.state() != ShardState::Draining)
+    with(|h| h.state() != ShardState::Draining)
 }
 
 /// What one failover round produced.
@@ -522,85 +481,31 @@ enum Round {
     Failed,
 }
 
-/// One round over `candidates`: launch the primary, hedge to the next
-/// replica on latency, fail over on errors, redirect on `busy`.
-fn attempt_round(inner: &Arc<Inner>, candidates: &[usize], payload: &[u8]) -> Round {
-    let (tx, rx) = mpsc::channel::<(usize, bool, io::Result<Vec<u8>>)>();
-    let mut next = 0usize;
-    let mut outstanding = 0usize;
-    let launch = |next: &mut usize, outstanding: &mut usize, hedge: bool| {
-        let idx = candidates[*next];
-        *next += 1;
-        *outstanding += 1;
+/// One round over `candidates`, one shard at a time in ring order: the
+/// first definitive reply wins; a transport failure or a
+/// `busy`/`shutting_down` shed moves on to the next replica.
+fn attempt_round(inner: &Inner, candidates: &[usize], payload: &[u8]) -> Round {
+    let mut busy_reply = None;
+    for &idx in candidates {
+        let shard = &inner.shards[idx];
         inner.stats.forwards.fetch_add(1, Ordering::Relaxed);
-        if hedge {
-            inner.stats.hedges.fetch_add(1, Ordering::Relaxed);
-        }
-        let inner = Arc::clone(inner);
-        let tx = tx.clone();
-        let payload = payload.to_vec();
-        let _ = std::thread::Builder::new()
-            .name("xrta-route-forward".to_string())
-            .spawn(move || {
-                let shard = &inner.shards[idx];
-                shard.in_flight.fetch_add(1, Ordering::SeqCst);
-                let result = shard.pool.request_bytes(&payload);
-                shard.in_flight.fetch_sub(1, Ordering::SeqCst);
-                let _ = tx.send((idx, hedge, result));
-            });
-    };
-    launch(&mut next, &mut outstanding, false);
-    let mut busy_reply: Option<Vec<u8>> = None;
-    loop {
-        if outstanding == 0 {
-            if next < candidates.len() {
-                launch(&mut next, &mut outstanding, false);
-            } else {
-                return busy_reply.map(Round::Busy).unwrap_or(Round::Failed);
-            }
-        }
-        // While spare replicas remain, wait only the hedge threshold;
-        // afterwards wait out the slowest outstanding send.
-        let wait = if next < candidates.len() {
-            inner.options.hedge_after
-        } else {
-            inner.options.pool.read_timeout + Duration::from_secs(1)
-        };
-        match rx.recv_timeout(wait) {
-            Ok((idx, was_hedge, Ok(bytes))) => {
-                outstanding -= 1;
-                let _ = inner.shards[idx].health.lock().unwrap().record_success();
+        shard.in_flight.fetch_add(1, Ordering::SeqCst);
+        let result = shard.pool.request_bytes(payload);
+        shard.in_flight.fetch_sub(1, Ordering::SeqCst);
+        match result {
+            Ok(bytes) => {
+                let _ = shard.health.lock().unwrap().record_success();
                 if bytes.starts_with(BUSY_PREFIX) || bytes.starts_with(SHUTTING_PREFIX) {
                     inner.stats.busy_redirects.fetch_add(1, Ordering::Relaxed);
-                    inner.shards[idx]
-                        .health
-                        .lock()
-                        .unwrap()
-                        .note_busy(&inner.options.health, Instant::now());
                     busy_reply = Some(bytes);
                     continue;
                 }
-                if was_hedge {
-                    inner.stats.hedge_wins.fetch_add(1, Ordering::Relaxed);
-                }
                 return Round::Reply(bytes);
             }
-            Ok((idx, _, Err(_))) => {
-                outstanding -= 1;
-                record_transport_failure(inner, idx);
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if next < candidates.len() {
-                    launch(&mut next, &mut outstanding, true);
-                } else if outstanding == 0 {
-                    return busy_reply.map(Round::Busy).unwrap_or(Round::Failed);
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return busy_reply.map(Round::Busy).unwrap_or(Round::Failed);
-            }
+            Err(_) => record_transport_failure(inner, idx),
         }
     }
+    busy_reply.map_or(Round::Failed, Round::Busy)
 }
 
 fn record_transport_failure(inner: &Inner, idx: usize) {
@@ -616,14 +521,14 @@ fn record_transport_failure(inner: &Inner, idx: usize) {
 }
 
 /// Forwards one payload with failover rounds and seeded backoff.
-fn forward(inner: &Arc<Inner>, point: u64, payload: &[u8]) -> Vec<u8> {
+fn forward(inner: &Inner, point: u64, payload: &[u8]) -> Vec<u8> {
     let order = inner.ring.order_for(point);
     let mut rng = Rng::seed_from_u64(inner.options.seed ^ point);
     let started = Instant::now();
     let mut attempt = 0u32;
     let mut last_busy: Option<Vec<u8>> = None;
     loop {
-        let candidates = pick_candidates(inner, &order, Instant::now());
+        let candidates = pick_candidates(inner, &order);
         if candidates.is_empty() {
             inner.stats.errors.fetch_add(1, Ordering::Relaxed);
             return Response::Error("no shard available: every backend is draining".to_string())
@@ -659,59 +564,10 @@ fn forward(inner: &Arc<Inner>, point: u64, payload: &[u8]) -> Vec<u8> {
         .into_bytes()
 }
 
-/// Counts a served hot key; on exactly the `warm_hits`-th sighting,
-/// replays the request to the key's next replica in the background so
-/// the failover target's cache is already warm when it is needed.
-fn maybe_warm(inner: &Arc<Inner>, point: u64, payload: &[u8]) {
-    if inner.options.warm_hits == 0 {
-        return;
-    }
-    let count = {
-        let mut hot = inner.hot.lock().unwrap();
-        // Bounded memory: a pathological key stream resets the stats
-        // rather than growing the map without limit.
-        if hot.len() > 8192 {
-            hot.clear();
-        }
-        let c = hot.entry(point).or_insert(0);
-        *c += 1;
-        *c
-    };
-    if count != inner.options.warm_hits {
-        return;
-    }
-    let order = inner.ring.order_for(point);
-    let now = Instant::now();
-    let Some(&replica) = order.iter().skip(1).find(|&&i| {
-        let h = inner.shards[i].health.lock().unwrap();
-        h.routable() && !h.biased(now)
-    }) else {
-        return;
-    };
-    inner.stats.warms.fetch_add(1, Ordering::Relaxed);
-    inner.stats.forwards.fetch_add(1, Ordering::Relaxed);
-    let inner = Arc::clone(inner);
-    let payload = payload.to_vec();
-    let _ = std::thread::Builder::new()
-        .name("xrta-route-warm".to_string())
-        .spawn(move || {
-            let shard = &inner.shards[replica];
-            shard.in_flight.fetch_add(1, Ordering::SeqCst);
-            let result = shard.pool.request_bytes(&payload);
-            shard.in_flight.fetch_sub(1, Ordering::SeqCst);
-            match result {
-                Ok(_) => {
-                    let _ = shard.health.lock().unwrap().record_success();
-                }
-                Err(_) => record_transport_failure(&inner, replica),
-            }
-        });
-}
-
 /// The rolling-drain sequence for one shard: stop routing to it, wait
 /// out its in-flight requests (bounded), shut the backend down, park
 /// the slot in `Ejected` so a restarted process is probed back in.
-fn drain_shard(inner: &Arc<Inner>, target: &str) -> Response {
+fn drain_shard(inner: &Inner, target: &str) -> Response {
     let Some(idx) = inner.shards.iter().position(|s| s.addr == target) else {
         return Response::Error(format!(
             "unknown shard {target:?} (configured: {})",
@@ -748,7 +604,7 @@ fn drain_shard(inner: &Arc<Inner>, target: &str) -> Response {
 /// Cluster-wide stats: fan out to every non-draining shard and sum the
 /// counters (percentiles take the worst shard). Unreachable shards
 /// contribute nothing — their counters died with them.
-fn aggregate_stats(inner: &Arc<Inner>) -> Response {
+fn aggregate_stats(inner: &Inner) -> Response {
     let probe = Request::Stats.encode();
     let mut total = StatsSnapshot::default();
     for shard in &inner.shards {
@@ -795,9 +651,9 @@ fn aggregate_stats(inner: &Arc<Inner>) -> Response {
 /// Active health checking: ping every non-draining shard each
 /// interval; ejected shards that have rested get a half-open probe
 /// whose outcome reinstates or re-ejects them.
-fn prober_loop(inner: &Arc<Inner>) {
+fn prober_loop(inner: &Inner) {
     while !inner.shutting_down() {
-        for shard in &inner.shards {
+        for (idx, shard) in inner.shards.iter().enumerate() {
             let probe = {
                 let mut h = shard.health.lock().unwrap();
                 match h.state() {
@@ -823,15 +679,7 @@ fn prober_loop(inner: &Arc<Inner>) {
                     inner.stats.reinstatements.fetch_add(1, Ordering::Relaxed);
                 }
             } else {
-                record_transport_failure(inner, {
-                    // Index lookup by identity: `shard` is a borrow of
-                    // the vec element, so compare addresses.
-                    inner
-                        .shards
-                        .iter()
-                        .position(|s| std::ptr::eq(s, shard))
-                        .unwrap_or(0)
-                });
+                record_transport_failure(inner, idx);
             }
         }
         // Sleep the interval in small steps so shutdown is prompt.
@@ -851,20 +699,24 @@ mod tests {
     use xrta_chi::EngineKind;
     use xrta_core::Verdict;
     use xrta_serve::client::roundtrip;
-    use xrta_serve::{answer_exit_code, ServeOptions};
+    use xrta_serve::{answer_exit_code, BusyReason, ServeOptions, ServerHandle};
     use xrta_timing::Time;
 
     const TINY: &str = "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = AND(a, b)\n";
 
-    fn tiny_request(req_time: i64) -> Request {
-        Request::Analyze(AnalyzeRequest {
+    fn tiny_analyze(req_time: i64) -> AnalyzeRequest {
+        AnalyzeRequest {
             name: "tiny.bench".to_string(),
             netlist: TINY.to_string(),
             algo: Verdict::Approx2,
             engine: EngineKind::Bdd,
             req: vec![Time::new(req_time)],
             ..AnalyzeRequest::default()
-        })
+        }
+    }
+
+    fn tiny_request(req_time: i64) -> Request {
+        Request::Analyze(tiny_analyze(req_time))
     }
 
     fn fast_options(shards: Vec<String>) -> RouterOptions {
@@ -874,7 +726,6 @@ mod tests {
             health: HealthPolicy {
                 eject_after: 2,
                 cooldown: Duration::from_millis(80),
-                busy_bias: Duration::from_millis(100),
             },
             pool: PoolOptions {
                 connect_timeout: Duration::from_millis(250),
@@ -892,19 +743,24 @@ mod tests {
         }
     }
 
-    fn spawn_shards(n: usize) -> (Vec<xrta_serve::ServerHandle>, Vec<String>) {
-        let mut handles = Vec::new();
-        let mut addrs = Vec::new();
-        for _ in 0..n {
-            let h = xrta_serve::start(ServeOptions {
-                workers: 2,
-                ..ServeOptions::default()
-            })
-            .unwrap();
-            addrs.push(h.addr().to_string());
-            handles.push(h);
-        }
-        (handles, addrs)
+    /// One in-process shard; `queue_cap: 0` makes it shed every
+    /// analyze with `busy`.
+    fn spawn_shard(queue_cap: usize) -> (ServerHandle, String) {
+        let h = xrta_serve::start(ServeOptions {
+            workers: 2,
+            queue_cap,
+            allow_hold: true,
+            ..ServeOptions::default()
+        })
+        .unwrap();
+        let addr = h.addr().to_string();
+        (h, addr)
+    }
+
+    fn spawn_shards(n: usize) -> (Vec<ServerHandle>, Vec<String>) {
+        (0..n)
+            .map(|_| spawn_shard(ServeOptions::default().queue_cap))
+            .unzip()
     }
 
     #[test]
@@ -934,6 +790,20 @@ mod tests {
         assert_eq!(snap.requests, 2);
         assert_eq!(snap.answered, 2);
         assert_eq!(snap.errors, 0);
+
+        // A fresh key whose answer takes 400 ms: the router waits it
+        // out on the key's primary and sends it to no other shard.
+        let held = Request::Analyze(AnalyzeRequest {
+            hold_ms: 400,
+            ..tiny_analyze(6)
+        });
+        let slow = roundtrip(addr, &held).unwrap();
+        assert!(matches!(slow, Response::Answer(_)), "{slow:?}");
+        let Response::Stats(after) = roundtrip(addr, &Request::Stats).unwrap() else {
+            panic!("expected aggregated stats");
+        };
+        assert_eq!(after.computations, total.computations + 1, "{after:?}");
+        assert_eq!(router.stats().forwards, snap.forwards + 1);
 
         router.shutdown();
         router.join();
@@ -1036,9 +906,7 @@ mod tests {
     #[test]
     fn concurrent_identical_requests_are_deduplicated() {
         let (shards, addrs) = spawn_shards(2);
-        let mut options = fast_options(addrs);
-        options.warm_hits = 0; // keep the forward count exact
-        let router = start(options).unwrap();
+        let router = start(fast_options(addrs)).unwrap();
         let addr = router.addr();
 
         let mut threads = Vec::new();
@@ -1072,38 +940,41 @@ mod tests {
         }
     }
 
+    /// A `queue_cap: 0` shard sheds every analyze: the router moves on
+    /// to the next replica, and a cluster in which every shard sheds
+    /// hands the client the shard's own `busy` bytes, not an error.
     #[test]
-    fn hot_keys_are_warmed_onto_the_next_replica() {
-        let (shards, addrs) = spawn_shards(2);
-        let mut options = fast_options(addrs);
-        options.warm_hits = 3;
-        let router = start(options).unwrap();
-        let addr = router.addr();
-
-        for _ in 0..3 {
-            let resp = roundtrip(addr, &tiny_request(9)).unwrap();
-            assert!(matches!(resp, Response::Answer(_)));
+    fn busy_shards_are_skipped_and_an_all_busy_cluster_sheds() {
+        let (busy, busy_addr) = spawn_shard(0);
+        let (normal, normal_addr) = spawn_shard(ServeOptions::default().queue_cap);
+        let router = start(fast_options(vec![busy_addr.clone(), normal_addr])).unwrap();
+        // Ring placement follows the ephemeral ports; with 32 distinct
+        // keys the odds that none has the busy shard as its primary are
+        // about 2^-32.
+        for t in 0..32 {
+            let resp = roundtrip(router.addr(), &tiny_request(t)).unwrap();
+            assert!(matches!(resp, Response::Answer(_)), "req {t}: {resp:?}");
         }
-        // The warm fires in the background; wait for both shards to
-        // have computed the key once each.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let total_computations: u64 = shards.iter().map(|s| s.stats().computations).sum();
-            if total_computations == 2 {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "replica never warmed: {} computations",
-                total_computations
-            );
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        assert_eq!(router.stats().warms, 1);
-
+        let snap = router.stats();
+        assert!(snap.busy_redirects >= 1, "{snap:?}");
+        assert_eq!(snap.errors, 0, "{snap:?}");
         router.shutdown();
         router.join();
-        for s in shards {
+
+        let router = start(fast_options(vec![busy_addr])).unwrap();
+        let resp = roundtrip(router.addr(), &tiny_request(1)).unwrap();
+        assert_eq!(
+            resp,
+            Response::Busy {
+                reason: BusyReason::Queue
+            }
+        );
+        let snap = router.stats();
+        assert!(snap.busy_redirects >= 1, "{snap:?}");
+        assert_eq!(snap.errors, 0, "{snap:?}");
+        router.shutdown();
+        router.join();
+        for s in [busy, normal] {
             s.shutdown();
             s.join();
         }

@@ -28,6 +28,21 @@ cargo build --release --workspace
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+# Tests that start `xrta serve` processes must stop them: a daemon left
+# behind outlives the run. Tests start the binary by its absolute
+# target/ path; the smokes below use ./target/release/xrta, which the
+# pattern never matches.
+no_leftover_daemons() {
+    local pattern="$PWD/target/[a-z]*/xrta serve"
+    if pgrep -f "$pattern" > /dev/null; then
+        echo "error: $1 left xrta serve daemons running:" >&2
+        pgrep -af "$pattern" >&2
+        exit 1
+    fi
+}
+echo "==> no xrta serve daemon left by the tests"
+no_leftover_daemons "cargo test --workspace"
+
 # The degradation suite exists to prove budgets terminate runs; a hang
 # here is itself a bug, so give the step a hard wall-clock cap.
 echo "==> budget/degradation tests under step timeout"
@@ -115,6 +130,7 @@ echo "==> chaos tests (--features failpoints)"
 cargo clippy --workspace --all-targets --features failpoints -- -D warnings
 timeout 300 cargo test -q --features failpoints --test chaos
 timeout 300 cargo test -q --features failpoints --test cluster
+no_leftover_daemons "the failpoints chaos/cluster tests"
 
 # Kill-and-resume, out of process: SIGKILL a real batch run mid-flight,
 # then assert --resume completes it and the report matches a reference

@@ -43,12 +43,12 @@
 //! `route` runs the cluster front-end (`xrta-router`): it
 //! consistent-hashes requests across the `--shards` backends, health
 //! checks them (ping probes, consecutive-failure ejection, half-open
-//! reinstatement), fails over along the ring with seeded backoff,
-//! hedges slow attempts after `--hedge-ms`, warms hot cache entries
-//! onto the next replica, and answers `stats` probes with
-//! cluster-aggregated counters. `xrta route drain HOST:PORT --addr
-//! ROUTER` takes one shard out of rotation, waits out its in-flight
-//! work, and shuts it down — the rolling-restart primitive.
+//! reinstatement), fails over along the ring — past dead shards and
+//! `busy` sheds — with seeded backoff between rounds, and answers
+//! `stats` probes with cluster-aggregated counters. `xrta route drain
+//! HOST:PORT --addr ROUTER` takes one shard out of rotation, waits out
+//! its in-flight work, and shuts it down — the rolling-restart
+//! primitive.
 //!
 //! Exit codes, uniform across commands:
 //!
@@ -938,10 +938,7 @@ fn run_route(
                 health: router::HealthPolicy {
                     eject_after: args.eject_after,
                     cooldown: args.cooldown,
-                    ..router::HealthPolicy::default()
                 },
-                hedge_after: std::time::Duration::from_millis(args.hedge_ms),
-                warm_hits: args.warm_hits,
                 retry: BackoffPolicy {
                     max_retries: args.retries,
                     ..router::RouterOptions::default().retry

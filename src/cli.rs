@@ -218,8 +218,6 @@ pub const COMMANDS: &[CommandSpec] = &[
             "--probe-interval",
             "--eject-after",
             "--cooldown",
-            "--hedge-ms",
-            "--warm-hits",
             "--retries",
             "--retry-budget-ms",
             "--drain-deadline",
@@ -466,16 +464,6 @@ pub const FLAGS: &[FlagSpec] = &[
         help: "rest before an ejected shard gets a half-open probe",
     },
     FlagSpec {
-        flag: "--hedge-ms",
-        value: Some("MS"),
-        help: "latency threshold for a hedged try on the next replica",
-    },
-    FlagSpec {
-        flag: "--warm-hits",
-        value: Some("N"),
-        help: "requests per key before warming the next replica (0 = off)",
-    },
-    FlagSpec {
         flag: "--retries",
         value: Some("N"),
         help: "retry attempts on busy/connect failures",
@@ -607,10 +595,6 @@ pub struct Args {
     pub eject_after: u32,
     /// `--cooldown`.
     pub cooldown: Duration,
-    /// `--hedge-ms`.
-    pub hedge_ms: u64,
-    /// `--warm-hits`.
-    pub warm_hits: u64,
     /// `--retries`.
     pub retries: u32,
     /// `--retry-budget-ms`.
@@ -738,8 +722,6 @@ pub fn parse_args(argv: &[String]) -> Result<Args, String> {
         probe_interval: Duration::from_millis(200),
         eject_after: 3,
         cooldown: Duration::from_secs(1),
-        hedge_ms: 150,
-        warm_hits: 3,
         retries: 3,
         retry_budget_ms: 2_000,
         route: None,
@@ -855,8 +837,6 @@ pub fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
             "--eject-after" => args.eject_after = num("--eject-after", value()?)?,
             "--cooldown" => args.cooldown = parse_secs("--cooldown", Some(value()?))?,
-            "--hedge-ms" => args.hedge_ms = num("--hedge-ms", value()?)?,
-            "--warm-hits" => args.warm_hits = num("--warm-hits", value()?)?,
             "--retries" => args.retries = num("--retries", value()?)?,
             "--retry-budget-ms" => args.retry_budget_ms = num("--retry-budget-ms", value()?)?,
             "--route" => args.route = Some(value()?),
@@ -1067,17 +1047,11 @@ mod tests {
             "127.0.0.1:0",
             "--shards",
             "127.0.0.1:7101,127.0.0.1:7102",
-            "--hedge-ms",
-            "80",
-            "--warm-hits",
-            "2",
         ]))
         .unwrap();
         assert_eq!(r.path, None);
         assert_eq!(r.path2, None);
         assert_eq!(r.shards.as_deref(), Some("127.0.0.1:7101,127.0.0.1:7102"));
-        assert_eq!(r.hedge_ms, 80);
-        assert_eq!(r.warm_hits, 2);
         // Rolling drain: both positionals present.
         let d = parse_args(&argv(&[
             "route",

@@ -60,8 +60,7 @@ fn in_process_shards(n: usize) -> (Vec<serve::ServerHandle>, Vec<String>) {
     (handles, addrs)
 }
 
-/// Router tuned for tests: fast probing, fast ejection, no warming
-/// (so computation counts stay exact).
+/// Router tuned for tests: fast probing, fast ejection, fast retries.
 fn test_router(shards: Vec<String>) -> RouterOptions {
     RouterOptions {
         shards,
@@ -69,10 +68,7 @@ fn test_router(shards: Vec<String>) -> RouterOptions {
         health: HealthPolicy {
             eject_after: 2,
             cooldown: Duration::from_millis(150),
-            ..HealthPolicy::default()
         },
-        hedge_after: Duration::from_millis(100),
-        warm_hits: 0,
         retry: BackoffPolicy {
             base: Duration::from_millis(10),
             cap: Duration::from_millis(100),
@@ -86,7 +82,7 @@ fn test_router(shards: Vec<String>) -> RouterOptions {
 /// 32 concurrent clients over 4 keys through the router: the router's
 /// single-flight plus shard-side dedup keep the computation count at
 /// one per key, and every response for one key is byte-identical no
-/// matter which client (or hedge) carried it.
+/// matter which client carried it.
 #[test]
 fn router_deduplicates_and_preserves_byte_identity() {
     let (shards, addrs) = in_process_shards(2);
@@ -171,9 +167,18 @@ fn cluster_responses_match_single_process_serve() {
 // the router eject and reinstate it.
 // ---------------------------------------------------------------------------
 
+/// A shard process, killed and reaped when dropped: dropping a bare
+/// `Child` leaves the process running past the test.
 struct ShardProc {
     child: Child,
     addr: String,
+}
+
+impl Drop for ShardProc {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
 }
 
 fn spawn_shard(bind: &str, failpoints: Option<&str>) -> ShardProc {
@@ -225,7 +230,7 @@ fn wait_for_state(
 /// half-open prober reinstates it without operator involvement.
 #[test]
 fn shard_sigkill_mid_traffic_is_invisible_to_clients() {
-    let shards: Vec<ShardProc> = (0..3).map(|_| spawn_shard("127.0.0.1:0", None)).collect();
+    let mut shards: Vec<ShardProc> = (0..3).map(|_| spawn_shard("127.0.0.1:0", None)).collect();
     let addrs: Vec<String> = shards.iter().map(|s| s.addr.clone()).collect();
     let router = router::start(test_router(addrs.clone())).unwrap();
     let addr = router.addr();
@@ -254,7 +259,7 @@ fn shard_sigkill_mid_traffic_is_invisible_to_clients() {
     // air. SIGKILL, not SIGTERM: no drain, no goodbye.
     barrier.wait();
     std::thread::sleep(Duration::from_millis(30));
-    let mut victim = shards.into_iter().nth(1).unwrap();
+    let mut victim = shards.remove(1);
     victim.child.kill().unwrap();
     victim.child.wait().unwrap();
 
@@ -281,7 +286,7 @@ fn shard_sigkill_mid_traffic_is_invisible_to_clients() {
     // The crash was noticed...
     wait_for_state(&router, &victim.addr, ShardState::Ejected, "after the kill");
     // ...and the replacement (same address) is probed back in.
-    let mut replacement = spawn_shard(&victim.addr, None);
+    let replacement = spawn_shard(&victim.addr, None);
     assert_eq!(replacement.addr, victim.addr, "rebind on the same port");
     wait_for_state(
         &router,
@@ -302,8 +307,6 @@ fn shard_sigkill_mid_traffic_is_invisible_to_clients() {
 
     router.shutdown();
     router.join();
-    replacement.child.kill().unwrap();
-    replacement.child.wait().unwrap();
 }
 
 /// Rolling drain across every shard in turn: with continuous client
@@ -357,10 +360,6 @@ fn rolling_drain_restarts_every_shard_with_zero_downtime() {
 
     router.shutdown();
     router.join();
-    for mut s in shards {
-        s.child.kill().unwrap();
-        s.child.wait().unwrap();
-    }
 }
 
 /// Shards armed with probabilistic frame-level faults (reads and
@@ -397,10 +396,6 @@ fn injected_frame_faults_are_absorbed_by_the_router() {
 
     router.shutdown();
     router.join();
-    for mut s in shards {
-        s.child.kill().unwrap();
-        s.child.wait().unwrap();
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -409,7 +404,7 @@ fn injected_frame_faults_are_absorbed_by_the_router() {
 
 #[test]
 fn route_binary_serves_drains_and_reports() {
-    let shards: Vec<ShardProc> = (0..2).map(|_| spawn_shard("127.0.0.1:0", None)).collect();
+    let mut shards: Vec<ShardProc> = (0..2).map(|_| spawn_shard("127.0.0.1:0", None)).collect();
     let shard_list = shards
         .iter()
         .map(|s| s.addr.as_str())
@@ -480,9 +475,7 @@ fn route_binary_serves_drains_and_reports() {
     );
     assert!(route.wait().unwrap().success());
 
-    let mut shards = shards;
-    // The drained shard exited cleanly; the other is still ours to kill.
+    // The drained shard exited cleanly; dropping `shards` kills the
+    // other.
     assert!(shards[0].child.wait().unwrap().success());
-    shards[1].child.kill().unwrap();
-    shards[1].child.wait().unwrap();
 }
