@@ -127,18 +127,6 @@ impl SpliceReport {
     }
 }
 
-const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-const FNV_PRIME: u128 = 0x0000000001000000000000000000013b;
-
-fn fnv128(bytes: &[u8]) -> u128 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u128;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// Truth-table bits as hex nibbles, minterm 0 in the lowest bit.
 fn table_hex(t: &TruthTable) -> String {
     let minterms = 1usize << t.var_count();
@@ -252,7 +240,7 @@ fn slice_one<D: DelayModel>(
         map.insert(id, new);
     }
     cone.mark_output(map[&root]);
-    let fingerprint = fnv128(descriptor.as_bytes());
+    let fingerprint = xrta_rng::fnv1a128(descriptor.as_bytes());
     ConeSlice {
         output,
         fingerprint,
@@ -545,5 +533,17 @@ mod tests {
             splice(&net, &UnitDelay, &req, Verdict::Approx2, &slices, &verdicts).render()
         };
         assert_eq!(run(), run());
+    }
+
+    /// Serve's cone cache keys verdicts by these, on disk too.
+    #[test]
+    fn cone_fingerprints_are_pinned() {
+        assert_eq!(
+            fingerprints(&c17()),
+            vec![
+                0xc4c5_fa7e_0e06_03c7_1e29_7411_fb52_a16c,
+                0xe803_b8c2_fc09_6193_1e29_73e0_c814_e7b6,
+            ]
+        );
     }
 }

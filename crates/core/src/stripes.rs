@@ -40,18 +40,12 @@ const STRIPES: usize = 16;
 /// the cone's stripe. The index is mixed in so cones with identical
 /// supports (common in replicated output blocks) still spread out.
 pub fn support_fingerprint(cone: usize, mask: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |word: u64| {
-        for b in word.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    };
-    mix(cone as u64);
+    let mut h = xrta_rng::Fnv64::default();
+    h.write(&(cone as u64).to_le_bytes());
     for &w in mask {
-        mix(w);
+        h.write(&w.to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 /// One stripe's storage.
@@ -442,5 +436,13 @@ mod tests {
             }
         }
         assert!(cache.hits() > 0);
+    }
+
+    /// Only the low bits choose a stripe, so only they are pinned.
+    #[test]
+    fn support_fingerprint_is_pinned() {
+        let fp = support_fingerprint(3, &[0xdead_beef, 1 << 40]);
+        assert_eq!(fp & 0xff_ffff_ffff, 0x08_13ae_5b33);
+        assert_eq!(fp % STRIPES as u64, 3);
     }
 }

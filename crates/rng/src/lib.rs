@@ -8,6 +8,9 @@
 //! randomized tests goes through this crate instead, which also makes
 //! every "random" artifact reproducible from its seed alone.
 //!
+//! It is also home to the workspace's one hash family ([`hash`]):
+//! streaming FNV-1a and the SplitMix64 finaliser [`mix64`].
+//!
 //! ## Example
 //!
 //! ```
@@ -19,6 +22,10 @@
 //! assert_eq!(Rng::seed_from_u64(42).range(0, 10), a); // deterministic
 //! ```
 
+pub mod hash;
+
+pub use hash::{fnv1a128, fnv1a64, mix64, Fnv128, Fnv64};
+
 /// A small, fast, deterministic PRNG (xoshiro256**, SplitMix64-seeded).
 ///
 /// Not cryptographically secure; statistical quality is more than
@@ -29,11 +36,9 @@ pub struct Rng {
 }
 
 fn splitmix64(state: &mut u64) -> u64 {
+    let out = mix64(*state);
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    out
 }
 
 impl Rng {

@@ -247,20 +247,12 @@ mod armed {
             .unwrap_or_else(|poison| poison.into_inner())
     }
 
-    fn fnv1a(bytes: &[u8]) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h
-    }
-
     /// Pure, interleaving-independent probability decision for `%P`
     /// rules: the same (seed, site, hit) always rolls the same die.
     fn chance(seed: u64, site: &str, hit: u64, percent: u32) -> bool {
-        let mixed =
-            seed ^ fnv1a(site.as_bytes()).rotate_left(17) ^ hit.wrapping_mul(0x9E3779B97F4A7C15);
+        let mixed = seed
+            ^ xrta_rng::fnv1a64(site.as_bytes()).rotate_left(17)
+            ^ hit.wrapping_mul(0x9E3779B97F4A7C15);
         xrta_rng::Rng::seed_from_u64(mixed).percent(percent)
     }
 

@@ -12,19 +12,12 @@
 /// a few percent for the cluster sizes this tier targets (2–32).
 pub const VNODES: usize = 64;
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x00000100000001b3;
-
-/// FNV-1a over raw bytes, then a splitmix-style finalizer. Plain FNV
+/// FNV-1a over raw bytes, then MurmurHash3's 64-bit finalizer. Plain FNV
 /// avalanches too weakly for near-identical short labels like
 /// `"host:port#0" … "host:port#63"` — without the finalizer the vnode
 /// points cluster and shard loads skew several-fold.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
+    let mut h = xrta_rng::fnv1a64(bytes);
     h ^= h >> 33;
     h = h.wrapping_mul(0xff51afd7ed558ccd);
     h ^= h >> 33;
@@ -161,5 +154,30 @@ mod tests {
         let ring = Ring::new(&addrs(1));
         assert_eq!(ring.order_for(7), vec![0]);
         assert_eq!(ring.order_for(u64::MAX), vec![0]);
+    }
+
+    /// Router instances agree on placement only while these stay fixed.
+    #[test]
+    fn ring_placement_is_pinned() {
+        assert_eq!(fnv64(b"127.0.0.1:9000#0"), 0xc2de_76ee_c28c_394f);
+        let ring = Ring::new(&addrs(5));
+        let orders: Vec<Vec<usize>> = [
+            0x2000_0000_0000_0000,
+            0x5555_5555_5555_5555,
+            1 << 63,
+            0xc000_0000_0000_0000,
+        ]
+        .iter()
+        .map(|&p| ring.order_for(p))
+        .collect();
+        assert_eq!(
+            orders,
+            vec![
+                vec![3, 0, 4, 2, 1],
+                vec![1, 2, 3, 4, 0],
+                vec![2, 0, 3, 4, 1],
+                vec![2, 0, 4, 1, 3],
+            ]
+        );
     }
 }

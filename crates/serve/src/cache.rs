@@ -17,6 +17,7 @@ use std::path::{Path, PathBuf};
 
 use xrta_chi::EngineKind;
 use xrta_core::Verdict;
+use xrta_rng::Fnv128;
 use xrta_robust::journal::{encode_record, parse_record};
 use xrta_robust::mem::{self, Subsystem};
 use xrta_timing::tokens::encode_times;
@@ -26,9 +27,6 @@ use xrta_timing::Time;
 /// the same key are guaranteed the same answer bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CacheKey(u128);
-
-const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-const FNV_PRIME: u128 = 0x0000000001000000000000000000013b;
 
 impl CacheKey {
     /// Hashes the analysis-shaping inputs. `hold_ms` and budget wishes
@@ -44,16 +42,12 @@ impl CacheKey {
         engine: EngineKind,
         budget_tag: &str,
     ) -> CacheKey {
-        let mut h = FNV_OFFSET;
+        let mut h = Fnv128::default();
         let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u128::from(b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
+            h.write(bytes);
             // Field separator: an out-of-band byte value so that
             // ("ab","c") and ("a","bc") hash differently.
-            h ^= 0x1f;
-            h = h.wrapping_mul(FNV_PRIME);
+            h.write(&[0x1f]);
         };
         eat(netlist.as_bytes());
         eat(delay_model.as_bytes());
@@ -61,7 +55,7 @@ impl CacheKey {
         eat(algo.to_string().as_bytes());
         eat(engine.to_string().as_bytes());
         eat(budget_tag.as_bytes());
-        CacheKey(h)
+        CacheKey(h.finish())
     }
 
     /// 32-hex-digit rendering, used as the disk file stem.
@@ -386,5 +380,19 @@ mod tests {
         assert_eq!(cache.get(key(1)).unwrap().1, HitTier::Memory);
         assert!(cache.get(key(9)).is_none());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The disk tier names its files by this hex, so it must not move.
+    #[test]
+    fn key_hex_is_pinned() {
+        let k = CacheKey::compute(
+            "INPUT(a)\nOUTPUT(b)\nb = NOT(a)\n",
+            "unit",
+            &[Time::new(3), Time::INF],
+            Verdict::Approx2,
+            EngineKind::Sat,
+            "t=10",
+        );
+        assert_eq!(k.hex(), "95ded00f0223b133c21e0c1f14997e3b");
     }
 }

@@ -17,19 +17,16 @@
 //! netlist, which is what lets the shrinker minimise a failing script
 //! by dropping edits instead of re-deriving them.
 
-use std::collections::{BTreeMap, HashMap};
-use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::collections::HashMap;
 
-use xrta_circuits::random_circuit;
 use xrta_core::cone::{analyze_cone, slice_cones, splice, ConeVerdict};
 use xrta_core::{Budget, SessionOptions, Verdict};
 use xrta_network::{GateKind, Network, NodeFunc, NodeId};
-use xrta_rng::Rng;
-use xrta_timing::{topological_delays, UnitDelay};
+use xrta_rng::{mix64, Rng};
 
-use crate::corpus::{load_dir, save, CorpusEntry};
-use crate::harness::{mix64, spec_for_seed};
+use crate::corpus::CorpusEntry;
+use crate::fuzz::{drive, Case, FuzzOptions, FuzzReport};
+use crate::harness::{base_for, corpus_bases};
 use crate::shrink::{minimise, TestCase};
 
 /// One engineering change order, keyed by node *name* so that stale
@@ -465,201 +462,71 @@ pub fn shrink_edits(
     minimise(prefix, step, drop_one, |cand| fails(cand))
 }
 
-/// Options for [`eco_fuzz`].
-#[derive(Clone, Debug)]
-pub struct EcoFuzzOptions {
-    /// Number of edit sequences to run.
-    pub sequences: usize,
-    /// Base seed; each sequence derives its own via [`mix64`].
-    pub base_seed: u64,
-    /// Primary-input ceiling for generated base circuits (≤ 16).
-    pub max_inputs: usize,
-    /// Stop early after this much wall clock.
-    pub time_cap: Option<Duration>,
-    /// Corpus directory: existing entries are snapshotted as base
-    /// netlists, and shrunk failures are filed here as before/after
-    /// pairs (`None`: random bases only, don't write).
-    pub corpus_dir: Option<PathBuf>,
-    /// Cooperative cancellation, checked between sequences.
-    pub cancel: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
-}
-
-impl Default for EcoFuzzOptions {
-    fn default() -> Self {
-        EcoFuzzOptions {
-            sequences: 100,
-            base_seed: 0xEC0,
-            max_inputs: 8,
-            time_cap: None,
-            corpus_dir: None,
-            cancel: None,
-        }
-    }
-}
-
-/// One ECO differential failure, after shrinking.
-#[derive(Debug)]
-pub struct EcoFailure {
-    /// The failing sequence index.
-    pub index: u64,
-    /// State index (within the shrunk script) where warm and cold
-    /// reports first diverged.
-    pub step: usize,
-    /// The minimised edit script.
-    pub edits: Vec<EditOp>,
-    /// Corpus paths of the filed before/after pair, if written.
-    pub corpus_paths: Option<(PathBuf, PathBuf)>,
-}
-
-/// Summary of an ECO fuzz run.
-#[derive(Debug, Default)]
-pub struct EcoReport {
-    /// Edit sequences actually run.
-    pub sequences_run: usize,
-    /// Total edits applied across all sequences.
-    pub edits_applied: usize,
-    /// Whether the time cap cut the run short.
-    pub time_capped: bool,
-    /// Whether the cancel flag cut the run short.
-    pub cancelled: bool,
-    /// Every failure found.
-    pub failures: Vec<EcoFailure>,
-}
-
-/// Runs the incremental-vs-scratch differential over `opts.sequences`
-/// seeded edit scripts. Bases alternate between snapshotted corpus
-/// entries and fresh random circuits; each script applies 1–5 edits.
-/// Failures are shrunk to a minimal edit script and filed as paired
-/// `_before`/`_after` corpus entries.
-pub fn eco_fuzz(opts: &EcoFuzzOptions, mut progress: impl FnMut(&str)) -> EcoReport {
-    let t0 = Instant::now();
-    let mut report = EcoReport::default();
-    // Snapshot the corpus up front: failures filed during this run must
-    // not become bases for later sequences of the same run.
-    let corpus_bases: Vec<CorpusEntry> = opts
-        .corpus_dir
-        .as_ref()
-        .and_then(|d| load_dir(d).ok())
-        .unwrap_or_default()
-        .into_iter()
-        .map(|(_, e)| e)
-        .collect();
-    for index in 0..opts.sequences as u64 {
-        if let Some(cap) = opts.time_cap {
-            if t0.elapsed() >= cap {
-                report.time_capped = true;
-                progress(&format!(
-                    "time cap reached after {} of {} sequences",
-                    report.sequences_run, opts.sequences
-                ));
-                break;
-            }
-        }
-        if opts
-            .cancel
-            .as_ref()
-            .is_some_and(|c| c.load(std::sync::atomic::Ordering::Relaxed))
-        {
-            report.cancelled = true;
-            progress(&format!(
-                "cancelled after {} of {} sequences",
-                report.sequences_run, opts.sequences
-            ));
-            break;
-        }
+/// The ECO differential: runs `opts.seeds` seeded edit scripts of 1–5
+/// edits through `fuzz::drive`, checking every state with
+/// [`first_disagreement`]. Bases alternate between the entries already
+/// in `opts.corpus_dir` (all of them, whatever their input count) and
+/// fresh random circuits. A failure is shrunk to a minimal edit script
+/// and filed as an `eco_seed_NNNN_before`/`_after` pair. The tally
+/// counts applied edits.
+pub fn eco_fuzz(opts: &FuzzOptions, progress: impl FnMut(&str)) -> FuzzReport {
+    let corpus = corpus_bases(opts, usize::MAX);
+    drive(opts, "sequence", progress, |index, progress| {
         let mut rng = Rng::seed_from_u64(mix64(opts.base_seed ^ mix64(index ^ 0xEC0)));
-        let base = if !corpus_bases.is_empty() && index % 2 == 0 {
-            let pick = (index as usize / 2) % corpus_bases.len();
-            corpus_bases[pick].clone()
-        } else {
-            let spec = spec_for_seed(opts.base_seed ^ 0xEC0, index, opts.max_inputs);
-            let net = random_circuit(spec).expect("spec is non-degenerate");
-            let req = topological_delays(&net, &UnitDelay);
-            CorpusEntry {
-                case: TestCase { net, req },
-                delays: BTreeMap::new(),
-                origin: format!("eco base seed {index}"),
-            }
-        };
+        let base = base_for(&corpus, opts, 0xEC0, index);
         let count = rng.range(1, 6);
         let mut fresh = 0usize;
+        let mut applied = 0;
         let mut edits = Vec::with_capacity(count);
         let mut cursor = base.clone();
         for _ in 0..count {
             let op = random_edit(&mut rng, &cursor, &mut fresh);
             if let Some(next) = apply_edit(&cursor, &op) {
                 cursor = next;
-                report.edits_applied += 1;
+                applied += 1;
             }
             edits.push(op);
         }
-        report.sequences_run += 1;
-        let states = apply_sequence(&base, &edits);
-        let Some(step) = first_disagreement(&states) else {
-            continue;
+        let Some(step) = first_disagreement(&apply_sequence(&base, &edits)) else {
+            return Case {
+                tally: applied,
+                ..Case::default()
+            };
         };
         progress(&format!(
-            "sequence {index}: warm/cold reports diverged at step {step} of {}",
+            "warm/cold reports diverged at step {step} of {}",
             edits.len()
         ));
         let (shrunk, shrunk_step) = shrink_edits(&edits, step, |candidate| {
             first_disagreement(&apply_sequence(&base, candidate))
         });
-        progress(&format!(
-            "sequence {index}: shrunk to {} edit(s): {}",
-            shrunk.len(),
-            shrunk
-                .iter()
-                .map(|e| e.to_string())
-                .collect::<Vec<_>>()
-                .join("; ")
-        ));
-        let shrunk_states = apply_sequence(&base, &shrunk);
-        let before = shrunk_states[shrunk_step.saturating_sub(1)].clone();
-        let after = shrunk_states[shrunk_step].clone();
-        let corpus_paths = opts.corpus_dir.as_ref().and_then(|dir| {
-            let origin = format!(
-                "eco fuzz sequence {index} base {:#x} ({})",
-                opts.base_seed,
-                shrunk
-                    .iter()
-                    .map(|e| e.to_string())
-                    .collect::<Vec<_>>()
-                    .join("; ")
-            );
-            let mut b = before.clone();
-            b.origin = origin.clone();
-            let mut a = after.clone();
-            a.origin = origin;
-            let pb = save(dir, &format!("eco_seed_{index:04}_before"), &b);
-            let pa = save(dir, &format!("eco_seed_{index:04}_after"), &a);
-            match (pb, pa) {
-                (Ok(pb), Ok(pa)) => {
-                    progress(&format!(
-                        "sequence {index}: filed {} + {}",
-                        pb.display(),
-                        pa.display()
-                    ));
-                    Some((pb, pa))
-                }
-                (b, a) => {
-                    progress(&format!(
-                        "sequence {index}: corpus write failed: {:?} / {:?}",
-                        b.err(),
-                        a.err()
-                    ));
-                    None
-                }
-            }
-        });
-        report.failures.push(EcoFailure {
-            index,
-            step: shrunk_step,
-            edits: shrunk,
-            corpus_paths,
-        });
-    }
-    report
+        let script = shrunk
+            .iter()
+            .map(|e| e.to_string())
+            .collect::<Vec<_>>()
+            .join("; ");
+        progress(&format!("shrunk to {} edit(s): {script}", shrunk.len()));
+        let states = apply_sequence(&base, &shrunk);
+        let origin = format!(
+            "eco fuzz sequence {index} base {:#x} ({script})",
+            opts.base_seed
+        );
+        let mut before = states[shrunk_step.saturating_sub(1)].clone();
+        before.origin = origin.clone();
+        let mut after = states[shrunk_step].clone();
+        after.origin = origin;
+        Case {
+            tally: applied,
+            failure: Some(format!(
+                "diverged at step {shrunk_step} | {} edit(s): {script}",
+                shrunk.len()
+            )),
+            entries: vec![
+                (format!("eco_seed_{index:04}_before"), before),
+                (format!("eco_seed_{index:04}_after"), after),
+            ],
+        }
+    })
 }
 
 /// Replays one filed before/after ECO pair: warms the cone cache on
@@ -678,7 +545,9 @@ pub fn replay_pair(before: &CorpusEntry, after: &CorpusEntry) -> Result<(), Stri
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
     use xrta_circuits::c17;
+    use xrta_timing::{topological_delays, UnitDelay};
 
     fn c17_entry() -> CorpusEntry {
         let net = c17();
@@ -877,16 +746,16 @@ mod tests {
 
     #[test]
     fn small_eco_fuzz_run_is_clean() {
-        let opts = EcoFuzzOptions {
-            sequences: 6,
+        let opts = FuzzOptions {
+            seeds: 6,
             base_seed: 0xEC0,
             max_inputs: 5,
-            ..Default::default()
+            ..FuzzOptions::default()
         };
         let mut lines = Vec::new();
         let report = eco_fuzz(&opts, |l| lines.push(l.to_string()));
-        assert_eq!(report.sequences_run, 6);
-        assert!(report.edits_applied > 0, "some edits must apply");
+        assert_eq!(report.seeds_run, 6);
+        assert!(report.tally > 0, "some edits must apply");
         assert!(
             report.failures.is_empty(),
             "incremental differential failed: {lines:?} {:?}",

@@ -15,12 +15,11 @@
 //! two numerically different deadlines with no χ time point between
 //! them constrain nothing differently.
 //!
-//! [`fuzz`] drives [`check_case`] over seeded random DAGs, shrinks any
-//! failure with [`crate::shrink`] and files the reduction in the
-//! regression corpus.
+//! [`fuzz`] is the per-case step that `fuzz::drive` runs over
+//! seeded random DAGs: check, shrink any failure with
+//! [`mod@crate::shrink`], and name the reduction's corpus entry.
 
-use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use xrta_chi::{EngineKind, FunctionalTiming};
 use xrta_circuits::{random_circuit, RandomCircuitSpec};
@@ -30,10 +29,11 @@ use xrta_core::{
     ExactOptions, LeafPlan, RequiredTimeTuple,
 };
 use xrta_network::Network;
-use xrta_rng::Rng;
+use xrta_rng::{mix64, Rng};
 use xrta_timing::{required_times, Time, UnitDelay};
 
-use crate::corpus::{save, CorpusEntry};
+use crate::corpus::{load_dir, CorpusEntry};
+use crate::fuzz::{drive, Case, FuzzOptions, FuzzReport};
 use crate::oracle::{
     condition_safe, condition_safe_at, exhaustive_true_arrivals, maximal_safe_at, minterm,
     point_safe, semantically_ge, MAX_ORACLE_INPUTS,
@@ -505,14 +505,6 @@ pub fn check_network(net: &Network, req: &[Time], opts: &CheckOptions) -> Vec<Fa
     )
 }
 
-/// SplitMix64 finaliser: decorrelates nearby fuzz seeds.
-pub fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Deterministic circuit spec for fuzz iteration `index`.
 pub fn spec_for_seed(base_seed: u64, index: u64, max_inputs: usize) -> RandomCircuitSpec {
     let max_inputs = max_inputs.clamp(2, MAX_ORACLE_INPUTS);
@@ -545,145 +537,76 @@ pub fn case_for_seed(base_seed: u64, index: u64, max_inputs: usize) -> TestCase 
     TestCase { net, req }
 }
 
-/// Options for [`fuzz`].
-#[derive(Clone, Debug)]
-pub struct FuzzOptions {
-    /// Number of seeds to run.
-    pub seeds: usize,
-    /// Base seed; each iteration derives its own via [`mix64`].
-    pub base_seed: u64,
-    /// Primary-input ceiling for generated circuits (≤ 16).
-    pub max_inputs: usize,
-    /// Stop early after this much wall clock.
-    pub time_cap: Option<Duration>,
-    /// Where to file shrunk failures (`None`: don't write).
-    pub corpus_dir: Option<PathBuf>,
-    /// Per-case check options.
-    pub check: CheckOptions,
-    /// Cooperative cancellation: checked between iterations; raising
-    /// it stops the run cleanly with the failures found so far.
-    pub cancel: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
+/// The entries under `opts.corpus_dir` with at most `max_inputs`
+/// inputs: the corpus bases of the ECO and resynthesis differentials,
+/// read once before a run so that failures filed during it never
+/// become bases.
+pub(crate) fn corpus_bases(opts: &FuzzOptions, max_inputs: usize) -> Vec<CorpusEntry> {
+    opts.corpus_dir
+        .as_deref()
+        .and_then(|d| load_dir(d).ok())
+        .unwrap_or_default()
+        .into_iter()
+        .map(|(_, e)| e)
+        .filter(|e| e.case.net.inputs().len() <= max_inputs)
+        .collect()
 }
 
-impl Default for FuzzOptions {
-    fn default() -> Self {
-        FuzzOptions {
-            seeds: 100,
-            base_seed: 0xF0CC,
-            max_inputs: 8,
-            time_cap: None,
-            corpus_dir: None,
-            check: CheckOptions::default(),
-            cancel: None,
-        }
+/// Base netlist for case `index` of the ECO and resynthesis
+/// differentials: even cases cycle through `corpus`, the rest are
+/// random circuits drawn under `salt`, at topological required times.
+pub(crate) fn base_for(
+    corpus: &[CorpusEntry],
+    opts: &FuzzOptions,
+    salt: u64,
+    index: u64,
+) -> CorpusEntry {
+    if !corpus.is_empty() && index.is_multiple_of(2) {
+        return corpus[(index as usize / 2) % corpus.len()].clone();
+    }
+    let spec = spec_for_seed(opts.base_seed ^ salt, index, opts.max_inputs);
+    let net = random_circuit(spec).expect("spec is non-degenerate");
+    let req = xrta_timing::topological_delays(&net, &UnitDelay);
+    CorpusEntry {
+        case: TestCase { net, req },
+        delays: Default::default(),
+        origin: format!("random base seed {index}"),
     }
 }
 
-/// One fuzz failure, after shrinking.
-#[derive(Debug)]
-pub struct FuzzFailure {
-    /// The failing iteration index.
-    pub index: u64,
-    /// Checks violated on the original case.
-    pub failures: Vec<Failure>,
-    /// The shrunk case.
-    pub shrunk: TestCase,
-    /// Where the corpus entry was written, if anywhere.
-    pub corpus_path: Option<PathBuf>,
-}
-
-/// Summary of a fuzz run.
-#[derive(Debug, Default)]
-pub struct FuzzReport {
-    /// Iterations actually run.
-    pub seeds_run: usize,
-    /// Whether the time cap cut the run short.
-    pub time_capped: bool,
-    /// Whether the cancel flag cut the run short.
-    pub cancelled: bool,
-    /// Every failure found.
-    pub failures: Vec<FuzzFailure>,
-}
-
-/// Runs the differential harness over `opts.seeds` random circuits,
-/// shrinking and filing every failure. `progress` receives one line per
-/// noteworthy event.
-pub fn fuzz(opts: &FuzzOptions, mut progress: impl FnMut(&str)) -> FuzzReport {
-    let t0 = Instant::now();
-    let mut report = FuzzReport::default();
-    for index in 0..opts.seeds as u64 {
-        if let Some(cap) = opts.time_cap {
-            if t0.elapsed() >= cap {
-                report.time_capped = true;
-                progress(&format!(
-                    "time cap reached after {} of {} seeds",
-                    report.seeds_run, opts.seeds
-                ));
-                break;
-            }
-        }
-        if opts
-            .cancel
-            .as_ref()
-            .is_some_and(|c| c.load(std::sync::atomic::Ordering::Relaxed))
-        {
-            report.cancelled = true;
-            progress(&format!(
-                "cancelled after {} of {} seeds",
-                report.seeds_run, opts.seeds
-            ));
-            break;
-        }
+/// The engine differential: runs [`check_case`] under `check` on
+/// `opts.seeds` seeded random circuits through `fuzz::drive`,
+/// shrinking every failure and filing it as `seed_NNNN_<check>`.
+pub fn fuzz(opts: &FuzzOptions, check: &CheckOptions, progress: impl FnMut(&str)) -> FuzzReport {
+    drive(opts, "seed", progress, |index, progress| {
         let case = case_for_seed(opts.base_seed, index, opts.max_inputs);
-        let failures = check_case(&case, &opts.check);
-        report.seeds_run += 1;
-        if failures.is_empty() {
-            continue;
-        }
+        let failures = check_case(&case, check);
+        let Some(first) = failures.first() else {
+            return Case::default();
+        };
+        progress(&format!("{} check(s) failed ({first})", failures.len()));
+        let shrunk = shrink(&case, |c| !check_case(c, check).is_empty());
         progress(&format!(
-            "seed {index}: {} check(s) failed ({})",
-            failures.len(),
-            failures[0]
-        ));
-        let shrunk = shrink(&case, |c| !check_case(c, &opts.check).is_empty());
-        progress(&format!(
-            "seed {index}: shrunk to {} gates / {} inputs / {} outputs",
+            "shrunk to {} gates / {} inputs / {} outputs",
             shrunk.net.gate_count(),
             shrunk.net.inputs().len(),
             shrunk.net.outputs().len()
         ));
-        let corpus_path = opts.corpus_dir.as_ref().and_then(|dir| {
-            let entry = CorpusEntry {
-                case: shrunk.clone(),
-                delays: Default::default(),
-                origin: format!(
-                    "fuzz seed {index} base {:#x} ({})",
-                    opts.base_seed, failures[0].check
-                ),
-            };
-            match save(
-                dir,
-                &format!("seed_{index:04}_{}", failures[0].check),
-                &entry,
-            ) {
-                Ok(p) => {
-                    progress(&format!("seed {index}: filed {}", p.display()));
-                    Some(p)
-                }
-                Err(e) => {
-                    progress(&format!("seed {index}: corpus write failed: {e}"));
-                    None
-                }
-            }
-        });
-        report.failures.push(FuzzFailure {
-            index,
-            failures,
-            shrunk,
-            corpus_path,
-        });
-    }
-    report
+        let failure = format!("{first} | shrunk to {} gates", shrunk.net.gate_count());
+        let entry = CorpusEntry {
+            case: shrunk,
+            delays: Default::default(),
+            origin: format!(
+                "fuzz seed {index} base {:#x} ({})",
+                opts.base_seed, first.check
+            ),
+        };
+        Case {
+            tally: 0,
+            failure: Some(failure),
+            entries: vec![(format!("seed_{index:04}_{}", first.check), entry)],
+        }
+    })
 }
 
 #[cfg(test)]
@@ -754,24 +677,28 @@ mod tests {
             seeds: 3,
             max_inputs: 5,
             corpus_dir: Some(dir.clone()),
-            check: CheckOptions {
-                fault: Some(Fault::LoosenApprox2),
-                ..CheckOptions::default()
-            },
             ..FuzzOptions::default()
         };
-        let report = fuzz(&opts, |_| {});
+        let check = CheckOptions {
+            fault: Some(Fault::LoosenApprox2),
+            ..CheckOptions::default()
+        };
+        let report = fuzz(&opts, &check, |_| {});
         assert!(
             !report.failures.is_empty(),
             "an all-∞ unsound point must be caught"
         );
         for f in &report.failures {
-            assert!(
-                f.shrunk.net.gate_count() <= 8,
-                "shrunk to {} gates",
-                f.shrunk.net.gate_count()
-            );
-            assert!(f.corpus_path.as_ref().is_some_and(|p| p.exists()));
+            let [path] = &f.filed[..] else {
+                panic!("seed {} filed {:?}", f.index, f.filed);
+            };
+            let text = std::fs::read_to_string(path).unwrap();
+            let gates = crate::corpus::parse_entry(&text)
+                .unwrap()
+                .case
+                .net
+                .gate_count();
+            assert!(gates <= 8, "shrunk to {gates} gates");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

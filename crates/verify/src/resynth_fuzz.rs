@@ -16,80 +16,18 @@
 //! [`replay_resynth_pair`].
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
-use std::time::{Duration, Instant};
 
 use xrta_chi::{EngineKind, FunctionalTiming};
-use xrta_circuits::random_circuit;
-use xrta_network::{write_bench, Network};
-use xrta_resynth::{resynthesize, DelaySpec, ResynthOptions};
-use xrta_rng::Rng;
-use xrta_timing::{Time, UnitDelay};
+use xrta_network::{check_equivalence, write_bench, Equivalence, Network};
+use xrta_resynth::{resynthesize, DelaySpec, ResynthOptions, ResynthReport};
+use xrta_rng::{mix64, Rng};
+use xrta_timing::Time;
 
-use crate::corpus::{load_dir, save, CorpusEntry};
-use crate::harness::{mix64, spec_for_seed};
+use crate::corpus::CorpusEntry;
+use crate::fuzz::{drive, Case, FuzzOptions, FuzzReport};
+use crate::harness::{base_for, corpus_bases};
+use crate::oracle::MAX_ORACLE_INPUTS;
 use crate::shrink::{shrink, TestCase};
-
-/// Options for the resynthesis differential.
-#[derive(Clone)]
-pub struct ResynthFuzzOptions {
-    /// Number of seeds to run.
-    pub seeds: usize,
-    /// Base seed; each case derives its own via [`mix64`].
-    pub base_seed: u64,
-    /// Primary-input ceiling for generated base circuits (≤ 16, so
-    /// the exhaustive oracle stays the independent judge).
-    pub max_inputs: usize,
-    /// Stop early after this much wall clock.
-    pub time_cap: Option<Duration>,
-    /// Corpus directory: small existing entries serve as extra bases,
-    /// and failures are filed here as pre/post pairs (`None`: random
-    /// bases only, don't write).
-    pub corpus_dir: Option<PathBuf>,
-    /// Cooperative cancellation, checked between seeds.
-    pub cancel: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
-}
-
-impl Default for ResynthFuzzOptions {
-    fn default() -> Self {
-        ResynthFuzzOptions {
-            seeds: 100,
-            base_seed: 0x5E51,
-            max_inputs: 8,
-            time_cap: None,
-            corpus_dir: None,
-            cancel: None,
-        }
-    }
-}
-
-/// One resynthesis differential failure, after shrinking.
-#[derive(Debug)]
-pub struct ResynthFailure {
-    /// The failing seed index.
-    pub index: u64,
-    /// Every violated check, human-readable.
-    pub checks: Vec<String>,
-    /// Gate count of the shrunk reproducer.
-    pub shrunk_gates: usize,
-    /// Corpus paths of the filed pre/post pair, if written.
-    pub corpus_paths: Option<(PathBuf, PathBuf)>,
-}
-
-/// Summary of a resynthesis fuzz run.
-#[derive(Debug, Default)]
-pub struct ResynthFuzzReport {
-    /// Seeds actually run.
-    pub seeds_run: usize,
-    /// Cases where the resynthesizer kept at least one rewrite.
-    pub changed: usize,
-    /// Whether the time cap cut the run short.
-    pub time_capped: bool,
-    /// Whether the cancel flag cut the run short.
-    pub cancelled: bool,
-    /// Every failure found.
-    pub failures: Vec<ResynthFailure>,
-}
 
 /// Seeded sparse delay perturbation: a few nodes get 2–4 ticks.
 fn perturb_delays(rng: &mut Rng, net: &Network) -> BTreeMap<String, i64> {
@@ -103,35 +41,41 @@ fn perturb_delays(rng: &mut Rng, net: &Network) -> BTreeMap<String, i64> {
     overrides
 }
 
-/// The independent checks: everything the resynthesizer must never
-/// break, judged without reusing its own proof machinery.
-fn violated_checks(entry: &CorpusEntry) -> Vec<String> {
-    let spec = DelaySpec {
+fn delay_spec(entry: &CorpusEntry) -> DelaySpec {
+    DelaySpec {
         default: 1,
         overrides: entry.delays.clone(),
-    };
-    let opts = ResynthOptions::default();
-    let report = resynthesize(&entry.case.net, &spec, &opts);
+    }
+}
+
+/// The judge of one rewrite, shared by the fuzzer and the corpus
+/// replay: `post` must compute `pre`'s function (exhaustive oracle up
+/// to [`MAX_ORACLE_INPUTS`] inputs, which the fuzzer's bases never
+/// exceed; SAT miter beyond) and no output's true arrival under `spec`
+/// may get later. Returns every violation, human-readable.
+fn judge(pre: &Network, post: &Network, spec: &DelaySpec) -> Vec<String> {
+    let (n, outs) = (pre.inputs().len(), pre.outputs().len());
+    if post.inputs().len() != n || post.outputs().len() != outs {
+        return vec![format!(
+            "interface mismatch: {n}x{outs} vs {}x{}",
+            post.inputs().len(),
+            post.outputs().len()
+        )];
+    }
     let mut bad = Vec::new();
-    if let Some(e) = &report.degraded {
-        bad.push(format!("degraded under an unlimited budget: {e}"));
-        return bad;
-    }
-    if !report.changed && write_bench(&report.net) != write_bench(&entry.case.net) {
-        bad.push("unchanged run did not preserve the netlist bytes".to_string());
-    }
-    // Equivalence, by the exhaustive oracle (positional outputs).
-    let n = entry.case.net.inputs().len();
-    for m in 0..(1u64 << n) {
-        let x: Vec<bool> = (0..n).map(|i| (m >> i) & 1 == 1).collect();
-        if entry.case.net.eval(&x) != report.net.eval(&x) {
-            bad.push(format!("not equivalent at minterm {m:#b}"));
-            break;
+    if n <= MAX_ORACLE_INPUTS {
+        for m in 0..(1u64 << n) {
+            let x: Vec<bool> = (0..n).map(|i| (m >> i) & 1 == 1).collect();
+            if pre.eval(&x) != post.eval(&x) {
+                bad.push(format!("not equivalent at minterm {m:#b}"));
+                break;
+            }
         }
+    } else if let Equivalence::Differs(x) = check_equivalence(pre, post) {
+        bad.push(format!("not equivalent at {x:?}"));
     }
-    // True delay, by a fresh functional-timing run on each side.
-    let before = true_arrivals(&entry.case.net, &spec);
-    let after = true_arrivals(&report.net, &spec);
+    let before = true_arrivals(pre, spec);
+    let after = true_arrivals(post, spec);
     for (i, (b, a)) in before.iter().zip(&after).enumerate() {
         if a > b {
             bad.push(format!("output {i} true arrival regressed: {b} -> {a}"));
@@ -146,224 +90,137 @@ fn true_arrivals(net: &Network, spec: &DelaySpec) -> Vec<Time> {
     FunctionalTiming::new(net, &model, zeros, EngineKind::Sat).true_arrivals()
 }
 
-/// Runs the resynthesis differential over `opts.seeds` cases. Bases
-/// alternate between small snapshotted corpus entries and fresh random
-/// circuits; each case gets a seeded sparse delay perturbation.
-pub fn resynth_fuzz(
-    opts: &ResynthFuzzOptions,
-    mut progress: impl FnMut(&str),
-) -> ResynthFuzzReport {
-    let t0 = Instant::now();
-    let mut report = ResynthFuzzReport::default();
-    // Snapshot the corpus up front (failures filed during this run must
-    // not become bases), keeping only entries the exhaustive oracle can
-    // judge quickly.
-    let corpus_bases: Vec<CorpusEntry> = opts
-        .corpus_dir
-        .as_ref()
-        .and_then(|d| load_dir(d).ok())
-        .unwrap_or_default()
-        .into_iter()
-        .map(|(_, e)| e)
-        .filter(|e| e.case.net.inputs().len() <= opts.max_inputs)
-        .collect();
-    for index in 0..opts.seeds as u64 {
-        if let Some(cap) = opts.time_cap {
-            if t0.elapsed() >= cap {
-                report.time_capped = true;
-                progress(&format!(
-                    "time cap reached after {} of {} seeds",
-                    report.seeds_run, opts.seeds
-                ));
-                break;
-            }
-        }
-        if opts
-            .cancel
-            .as_ref()
-            .is_some_and(|c| c.load(std::sync::atomic::Ordering::Relaxed))
-        {
-            report.cancelled = true;
-            progress(&format!(
-                "cancelled after {} of {} seeds",
-                report.seeds_run, opts.seeds
-            ));
-            break;
-        }
+/// Resynthesizes `entry` once under an unlimited budget and returns
+/// the report with everything it must never break: a degraded run, an
+/// unchanged run that moved the netlist bytes, and the [`judge`]'s
+/// verdicts.
+fn resynth_checked(entry: &CorpusEntry) -> (ResynthReport, Vec<String>) {
+    let spec = delay_spec(entry);
+    let report = resynthesize(&entry.case.net, &spec, &ResynthOptions::default());
+    if let Some(e) = &report.degraded {
+        let bad = vec![format!("degraded under an unlimited budget: {e}")];
+        return (report, bad);
+    }
+    let mut bad = Vec::new();
+    if !report.changed && write_bench(&report.net) != write_bench(&entry.case.net) {
+        bad.push("unchanged run did not preserve the netlist bytes".to_string());
+    }
+    bad.extend(judge(&entry.case.net, &report.net, &spec));
+    (report, bad)
+}
+
+/// The resynthesis differential: `opts.seeds` cases through
+/// `fuzz::drive`. Bases alternate between corpus entries
+/// with at most `opts.max_inputs` inputs and fresh random circuits;
+/// each case gets a seeded sparse delay perturbation. A failure shrinks
+/// structurally (delay overrides follow the surviving node names) and
+/// is filed as a `resynth_seed_NNNN_pre`/`_post` pair. The tally counts
+/// clean cases where the resynthesizer kept a rewrite.
+pub fn resynth_fuzz(opts: &FuzzOptions, progress: impl FnMut(&str)) -> FuzzReport {
+    // Only entries the exhaustive oracle can judge quickly are bases.
+    let corpus = corpus_bases(opts, opts.max_inputs);
+    drive(opts, "seed", progress, |index, progress| {
         let mut rng = Rng::seed_from_u64(mix64(opts.base_seed ^ mix64(index ^ 0x5E51)));
-        let mut entry = if !corpus_bases.is_empty() && index % 2 == 0 {
-            let pick = (index as usize / 2) % corpus_bases.len();
-            corpus_bases[pick].clone()
-        } else {
-            let spec = spec_for_seed(opts.base_seed ^ 0x5E51, index, opts.max_inputs);
-            let net = random_circuit(spec).expect("spec is non-degenerate");
-            let req = xrta_timing::topological_delays(&net, &UnitDelay);
-            CorpusEntry {
-                case: TestCase { net, req },
-                delays: BTreeMap::new(),
-                origin: format!("resynth base seed {index}"),
-            }
-        };
+        let mut entry = base_for(&corpus, opts, 0x5E51, index);
         entry
             .delays
             .extend(perturb_delays(&mut rng, &entry.case.net));
-        report.seeds_run += 1;
-        let checks = violated_checks(&entry);
+        let (report, checks) = resynth_checked(&entry);
         if checks.is_empty() {
-            let spec = DelaySpec {
-                default: 1,
-                overrides: entry.delays.clone(),
+            return Case {
+                tally: usize::from(report.changed),
+                ..Case::default()
             };
-            let r = resynthesize(&entry.case.net, &spec, &ResynthOptions::default());
-            if r.changed {
-                report.changed += 1;
-            }
-            continue;
         }
-        progress(&format!("seed {index}: {}", checks.join("; ")));
+        let checks = checks.join("; ");
+        progress(&checks);
         // Shrink structurally; overrides follow the surviving names.
-        let delays = entry.delays.clone();
-        let shrunk_case = shrink(&entry.case, |cand| {
-            let cand_entry = CorpusEntry {
-                case: cand.clone(),
-                delays: delays
-                    .iter()
-                    .filter(|(name, _)| cand.net.find(name).is_some())
-                    .map(|(n, &t)| (n.clone(), t))
-                    .collect(),
-                origin: String::new(),
-            };
-            !violated_checks(&cand_entry).is_empty()
-        });
-        let shrunk = CorpusEntry {
-            delays: delays
+        let with_delays = |case: TestCase| CorpusEntry {
+            delays: entry
+                .delays
                 .iter()
-                .filter(|(name, _)| shrunk_case.net.find(name).is_some())
+                .filter(|(name, _)| case.net.find(name).is_some())
                 .map(|(n, &t)| (n.clone(), t))
                 .collect(),
-            case: shrunk_case,
+            case,
             origin: format!(
-                "resynth fuzz seed {index} base {:#x} ({})",
-                opts.base_seed,
-                checks.join("; ")
+                "resynth fuzz seed {index} base {:#x} ({checks})",
+                opts.base_seed
             ),
         };
-        progress(&format!(
-            "seed {index}: shrunk to {} gate(s)",
-            shrunk.case.net.gate_count()
-        ));
-        let corpus_paths = opts.corpus_dir.as_ref().and_then(|dir| {
-            let spec = DelaySpec {
-                default: 1,
-                overrides: shrunk.delays.clone(),
-            };
-            let r = resynthesize(&shrunk.case.net, &spec, &ResynthOptions::default());
-            let post = CorpusEntry {
-                case: TestCase {
-                    net: r.net,
-                    req: shrunk.case.req.clone(),
-                },
-                delays: shrunk.delays.clone(),
-                origin: shrunk.origin.clone(),
-            };
-            let pp = save(dir, &format!("resynth_seed_{index:04}_pre"), &shrunk);
-            let pq = save(dir, &format!("resynth_seed_{index:04}_post"), &post);
-            match (pp, pq) {
-                (Ok(pp), Ok(pq)) => {
-                    progress(&format!(
-                        "seed {index}: filed {} + {}",
-                        pp.display(),
-                        pq.display()
-                    ));
-                    Some((pp, pq))
-                }
-                (p, q) => {
-                    progress(&format!(
-                        "seed {index}: corpus write failed: {:?} / {:?}",
-                        p.err(),
-                        q.err()
-                    ));
-                    None
-                }
-            }
-        });
-        report.failures.push(ResynthFailure {
-            index,
-            checks,
-            shrunk_gates: shrunk.case.net.gate_count(),
-            corpus_paths,
-        });
-    }
-    report
+        let shrunk = with_delays(shrink(&entry.case, |cand| {
+            !resynth_checked(&with_delays(cand.clone())).1.is_empty()
+        }));
+        let gates = shrunk.case.net.gate_count();
+        progress(&format!("shrunk to {gates} gate(s)"));
+        let post = CorpusEntry {
+            case: TestCase {
+                net: resynthesize(&shrunk.case.net, &delay_spec(&shrunk), &Default::default()).net,
+                req: shrunk.case.req.clone(),
+            },
+            delays: shrunk.delays.clone(),
+            origin: shrunk.origin.clone(),
+        };
+        Case {
+            tally: 0,
+            failure: Some(format!("{checks} | shrunk to {gates} gates")),
+            entries: vec![
+                (format!("resynth_seed_{index:04}_pre"), shrunk),
+                (format!("resynth_seed_{index:04}_post"), post),
+            ],
+        }
+    })
 }
 
-/// Replays one filed pre/post resynthesis pair: the pair must be
-/// oracle-equivalent and the post side must not regress any output's
-/// true arrival under the pre side's delay overrides. Used by the
-/// corpus regression test.
+/// Replays one filed pre/post resynthesis pair through the judge the
+/// fuzzer uses, under the pre entry's delay overrides: equivalence and
+/// per-output true-arrival non-regression. Used by the corpus
+/// regression test.
 pub fn replay_resynth_pair(pre: &CorpusEntry, post: &CorpusEntry) -> Result<(), String> {
-    let a = &pre.case.net;
-    let b = &post.case.net;
-    if a.inputs().len() != b.inputs().len() || a.outputs().len() != b.outputs().len() {
-        return Err(format!(
-            "interface mismatch: {}x{} vs {}x{}",
-            a.inputs().len(),
-            a.outputs().len(),
-            b.inputs().len(),
-            b.outputs().len()
-        ));
-    }
-    let n = a.inputs().len();
-    if n <= crate::oracle::MAX_ORACLE_INPUTS {
-        for m in 0..(1u64 << n) {
-            let x: Vec<bool> = (0..n).map(|i| (m >> i) & 1 == 1).collect();
-            if a.eval(&x) != b.eval(&x) {
-                return Err(format!("pre/post differ at minterm {m:#b}"));
-            }
-        }
+    let bad = judge(&pre.case.net, &post.case.net, &delay_spec(pre));
+    if bad.is_empty() {
+        Ok(())
     } else {
-        // Beyond the exhaustive oracle: the SAT miter decides.
-        match xrta_network::check_equivalence(a, b) {
-            xrta_network::Equivalence::Equivalent => {}
-            xrta_network::Equivalence::Differs(x) => {
-                return Err(format!("pre/post differ at {x:?}"));
-            }
-        }
+        Err(bad.join("; "))
     }
-    let spec = DelaySpec {
-        default: 1,
-        overrides: pre.delays.clone(),
-    };
-    let before = true_arrivals(a, &spec);
-    let after = true_arrivals(b, &spec);
-    for (i, (b_t, a_t)) in before.iter().zip(&after).enumerate() {
-        if a_t > b_t {
-            return Err(format!("output {i} true arrival regressed: {b_t} -> {a_t}"));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use xrta_circuits::ripple_carry_adder;
-    use xrta_timing::topological_delays;
+    use xrta_timing::{topological_delays, UnitDelay};
 
     #[test]
     fn a_short_run_is_clean_and_finds_improvements() {
-        let opts = ResynthFuzzOptions {
+        // A 4-bit ripple-carry base (9 inputs) holds a carry spine the
+        // resynthesizer rebuilds; random bases this small rarely do.
+        let dir = std::env::temp_dir().join(format!("xrta_resynth_fuzz_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let net = ripple_carry_adder(4).unwrap();
+        let req = topological_delays(&net, &UnitDelay);
+        let base = CorpusEntry {
+            case: TestCase { net, req },
+            delays: BTreeMap::new(),
+            origin: "rca4".to_string(),
+        };
+        crate::corpus::save(&dir, "rca4", &base).unwrap();
+        let opts = FuzzOptions {
             seeds: 6,
-            max_inputs: 6,
-            ..ResynthFuzzOptions::default()
+            base_seed: 0x5E51,
+            max_inputs: 9,
+            corpus_dir: Some(dir.clone()),
+            ..FuzzOptions::default()
         };
         let report = resynth_fuzz(&opts, |_| {});
+        let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(report.seeds_run, 6);
         assert!(
             report.failures.is_empty(),
             "clean seeds must stay clean: {:?}",
             report.failures
         );
+        assert!(report.tally >= 1, "no case kept a rewrite");
     }
 
     #[test]

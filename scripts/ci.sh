@@ -98,8 +98,19 @@ echo "$resynth_out" | grep -q "equivalence proof(s)" || {
 cmp "$rdir/add8_0.resynth.bench" "$rdir/add8_0.resynth2.bench" || {
     echo "resynth is not a fixpoint: second run changed the netlist"; exit 1; }
 echo "    add8 improved with proofs; second run byte-stable"
-./target/release/xrta fuzz --resynth 32 --max-inputs 6 --time-cap 120 \
-    --corpus "$rdir/corpus"
+# The differential runs over a copy of the shipped corpus at 9 inputs,
+# where add4_bypass becomes a base whose spine gets rewritten. Random
+# bases this small rarely hold one, and a run that keeps no rewrite
+# never judges one, so "0 changed" fails the step.
+cp -r netlists/corpus "$rdir/corpus"
+rfuzz_out=$(./target/release/xrta fuzz --resynth 32 --max-inputs 9 \
+    --time-cap 120 --corpus "$rdir/corpus")
+echo "$rfuzz_out"
+rchanged=$(echo "$rfuzz_out" | sed -n 's/.* | \([0-9]*\) changed | .*/\1/p')
+if [ -z "$rchanged" ] || [ "$rchanged" -lt 1 ]; then
+    echo "resynthesis differential kept no rewrite: ${rchanged:-no} changed"
+    exit 1
+fi
 rm -rf "$rdir"
 
 # Memory governance smoke: a tight byte budget must step the exact

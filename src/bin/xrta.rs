@@ -15,12 +15,13 @@
 //! `--fallback on` (the default) an exhausted budget degrades down the
 //! ladder exact → approx1 → approx2 → topological instead of failing.
 //!
-//! `fuzz` needs no netlist: it runs the differential verification
-//! harness (`xrta-verify`) over `--seeds` random circuits with at most
-//! `--max-inputs` primary inputs, checking every engine against the
-//! exhaustive oracle. Failures are shrunk and filed as `.bench`
-//! reproducers under `--corpus` (default `netlists/corpus`), and the
-//! run exits `1`. `--time-cap` bounds the wall clock for CI.
+//! `fuzz` needs no netlist: it runs one seeded differential from
+//! `xrta-verify` — the engine matrix against the exhaustive oracle over
+//! `--seeds` random circuits with at most `--max-inputs` primary
+//! inputs, or the ECO (`--edits`) or resynthesis (`--resynth`)
+//! differential. Failures are shrunk and filed as `.bench` reproducers
+//! under `--corpus` (default `netlists/corpus`), and the run exits `1`.
+//! `--time-cap` bounds the wall clock for CI.
 //!
 //! `batch` runs a whole manifest of jobs (one netlist per line, see
 //! `xrta::batch::manifest`) under a crash-resilient journal: every
@@ -488,169 +489,80 @@ fn run_gen(args: &Args) -> Result<ExitCode, Failure> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `xrta fuzz --resynth N`: the resynthesis differential — seeded
-/// netlists and delay perturbations, equivalence re-judged by the
-/// exhaustive oracle and true delay by fresh per-output timing runs.
-fn run_resynth_fuzz(
-    args: &Args,
-    seeds: usize,
-    corpus_dir: &str,
-    cancel: Option<Arc<std::sync::atomic::AtomicBool>>,
-) -> Result<ExitCode, Failure> {
-    let opts = verify::ResynthFuzzOptions {
-        seeds,
-        base_seed: args.base_seed,
-        max_inputs: args.max_inputs,
-        time_cap: args.time_cap,
-        corpus_dir: Some(std::path::PathBuf::from(corpus_dir)),
-        cancel,
-    };
-    let report = verify::resynth_fuzz(&opts, |line| eprintln!("xrta: fuzz: {line}"));
-    println!(
-        "fuzz: {} of {} resynth seeds run{} | {} changed | base seed {:#x} | {} failure(s)",
-        report.seeds_run,
-        seeds,
-        if report.time_capped {
-            " (time-capped)"
-        } else {
-            ""
-        },
-        report.changed,
-        args.base_seed,
-        report.failures.len()
-    );
-    for f in &report.failures {
-        println!(
-            "failure at seed {}: {} | shrunk to {} gates{}",
-            f.index,
-            f.checks.join("; "),
-            f.shrunk_gates,
-            match &f.corpus_paths {
-                Some((p, q)) => format!(" | filed {} + {}", p.display(), q.display()),
-                None => String::new(),
-            }
-        );
-    }
-    if !report.failures.is_empty() {
-        Ok(ExitCode::from(1))
-    } else if report.cancelled {
-        eprintln!("xrta: fuzz cancelled via --cancel-file");
-        Ok(ExitCode::from(4))
-    } else {
-        Ok(ExitCode::SUCCESS)
-    }
-}
-
+/// `xrta fuzz`: one seeded differential through `verify::fuzz::drive` —
+/// the engine matrix against the exhaustive oracle (`--seeds N`), the
+/// ECO warm-vs-cold differential (`--edits N`) or the resynthesis
+/// differential (`--resynth N`). The mode flags exclude one another.
 fn run_fuzz(
     args: &Args,
     cancel: Option<Arc<std::sync::atomic::AtomicBool>>,
 ) -> Result<ExitCode, Failure> {
-    let corpus_dir = args
-        .corpus
-        .clone()
-        .unwrap_or_else(|| "netlists/corpus".to_string());
-    if let Some(sequences) = args.edits {
-        return run_eco_fuzz(args, sequences, &corpus_dir, cancel);
-    }
-    if let Some(seeds) = args.resynth {
-        return run_resynth_fuzz(args, seeds, &corpus_dir, cancel);
+    if [args.seeds, args.edits, args.resynth]
+        .iter()
+        .flatten()
+        .count()
+        > 1
+    {
+        return Err(Failure::Usage(
+            "fuzz: --seeds, --edits and --resynth each pick a differential; give one".into(),
+        ));
     }
     let opts = verify::FuzzOptions {
-        seeds: args.seeds,
+        seeds: args.edits.or(args.resynth).or(args.seeds).unwrap_or(100),
         base_seed: args.base_seed,
         max_inputs: args.max_inputs,
         time_cap: args.time_cap,
-        corpus_dir: Some(std::path::PathBuf::from(&corpus_dir)),
-        check: verify::CheckOptions {
+        corpus_dir: Some(PathBuf::from(
+            args.corpus.as_deref().unwrap_or("netlists/corpus"),
+        )),
+        cancel,
+    };
+    let progress = |line: &str| eprintln!("xrta: fuzz: {line}");
+    // (what the summary calls the cases, what a failure line calls one,
+    // the mode's own summary field, the report)
+    let (cases, case, field, report) = if args.edits.is_some() {
+        let r = verify::eco_fuzz(&opts, progress);
+        (
+            "edit sequences",
+            "sequence",
+            format!("{} edits applied", r.tally),
+            r,
+        )
+    } else if args.resynth.is_some() {
+        let r = verify::resynth_fuzz(&opts, progress);
+        ("resynth seeds", "seed", format!("{} changed", r.tally), r)
+    } else {
+        let check = verify::CheckOptions {
             mem_limit: args.mem_limit,
             ..verify::CheckOptions::default()
-        },
-        cancel,
+        };
+        let r = verify::fuzz(&opts, &check, progress);
+        (
+            "seeds",
+            "seed",
+            format!("max inputs {}", args.max_inputs),
+            r,
+        )
     };
-    let report = verify::fuzz(&opts, |line| eprintln!("xrta: fuzz: {line}"));
     println!(
-        "fuzz: {} of {} seeds run{} | base seed {:#x} | max inputs {} | {} failure(s)",
+        "fuzz: {} of {} {cases} run{} | {field} | base seed {:#x} | {} failure(s)",
         report.seeds_run,
-        args.seeds,
+        opts.seeds,
         if report.time_capped {
             " (time-capped)"
         } else {
             ""
         },
         args.base_seed,
-        args.max_inputs,
         report.failures.len()
     );
     for f in &report.failures {
-        println!(
-            "failure at seed {}: {} | shrunk to {} gates{}",
-            f.index,
-            f.failures[0],
-            f.shrunk.net.gate_count(),
-            match &f.corpus_path {
-                Some(p) => format!(" | filed {}", p.display()),
-                None => String::new(),
-            }
-        );
-    }
-    if !report.failures.is_empty() {
-        Ok(ExitCode::from(1))
-    } else if report.cancelled {
-        eprintln!("xrta: fuzz cancelled via --cancel-file");
-        Ok(ExitCode::from(4))
-    } else {
-        Ok(ExitCode::SUCCESS)
-    }
-}
-
-/// `xrta fuzz --edits N`: the ECO differential — seeded edit scripts
-/// over corpus and random bases, checking after every edit that a warm
-/// fingerprint-keyed cone cache splices the byte-identical report a
-/// cold from-scratch analysis produces.
-fn run_eco_fuzz(
-    args: &Args,
-    sequences: usize,
-    corpus_dir: &str,
-    cancel: Option<Arc<std::sync::atomic::AtomicBool>>,
-) -> Result<ExitCode, Failure> {
-    let opts = verify::EcoFuzzOptions {
-        sequences,
-        base_seed: args.base_seed,
-        max_inputs: args.max_inputs,
-        time_cap: args.time_cap,
-        corpus_dir: Some(std::path::PathBuf::from(corpus_dir)),
-        cancel,
-    };
-    let report = verify::eco_fuzz(&opts, |line| eprintln!("xrta: fuzz: {line}"));
-    println!(
-        "fuzz: {} of {} edit sequences run{} | {} edits applied | base seed {:#x} | {} failure(s)",
-        report.sequences_run,
-        sequences,
-        if report.time_capped {
-            " (time-capped)"
+        let filed = if f.filed.is_empty() {
+            String::new()
         } else {
-            ""
-        },
-        report.edits_applied,
-        args.base_seed,
-        report.failures.len()
-    );
-    for f in &report.failures {
-        println!(
-            "failure at sequence {}: diverged at step {} | {} edit(s): {}{}",
-            f.index,
-            f.step,
-            f.edits.len(),
-            f.edits
-                .iter()
-                .map(|e| e.to_string())
-                .collect::<Vec<_>>()
-                .join("; "),
-            match &f.corpus_paths {
-                Some((b, a)) => format!(" | filed {} + {}", b.display(), a.display()),
-                None => String::new(),
-            }
-        );
+            format!(" | filed {}", verify::fuzz::join_paths(&f.filed))
+        };
+        println!("failure at {case} {}: {}{filed}", f.index, f.detail);
     }
     if !report.failures.is_empty() {
         Ok(ExitCode::from(1))

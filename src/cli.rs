@@ -276,7 +276,7 @@ pub const FLAGS: &[FlagSpec] = &[
     FlagSpec {
         flag: "--seeds",
         value: Some("N"),
-        help: "fuzz seeds to run",
+        help: "run N engine-matrix seeds (the default differential; 100)",
     },
     FlagSpec {
         flag: "--max-inputs",
@@ -522,8 +522,9 @@ pub struct Args {
     pub mem_limit: Option<u64>,
     /// `--fallback`.
     pub fallback: bool,
-    /// `--seeds`.
-    pub seeds: usize,
+    /// `--seeds` (`None` when the flag was not given: the engine
+    /// differential then runs 100 seeds).
+    pub seeds: Option<usize>,
     /// `--max-inputs`.
     pub max_inputs: usize,
     /// `--time-cap`.
@@ -687,7 +688,7 @@ pub fn parse_args(argv: &[String]) -> Result<Args, String> {
         sat_conflicts: None,
         mem_limit: None,
         fallback: true,
-        seeds: 100,
+        seeds: None,
         max_inputs: 8,
         time_cap: None,
         corpus: None,
@@ -781,7 +782,7 @@ pub fn parse_args(argv: &[String]) -> Result<Args, String> {
                     other => return Err(format!("bad --fallback {other:?} (want on|off)")),
                 }
             }
-            "--seeds" => args.seeds = num("--seeds", value()?)?,
+            "--seeds" => args.seeds = Some(num("--seeds", value()?)?),
             "--max-inputs" => {
                 let k: usize = num("--max-inputs", value()?)?;
                 if !(2..=xrta_verify::MAX_ORACLE_INPUTS).contains(&k) {

@@ -197,30 +197,76 @@ fn reqtime_zero_node_limit_without_fallback_fails_with_exit_code_1() {
     assert!(text.contains("analysis failed"), "{text}");
 }
 
+/// Runs `xrta fuzz` once per row over a fresh corpus directory: each row
+/// must exit 0, print its summary fragment and the shared failure count.
+fn fuzz_rows_exit_cleanly(tag: &str, rows: &[(&[&str], &str)]) {
+    for (k, (flags, want)) in rows.iter().enumerate() {
+        let dir = std::env::temp_dir().join(format!("xrta_cli_{tag}_{}_{k}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut argv = vec!["fuzz", "--corpus", dir.to_str().expect("utf8 path")];
+        argv.extend_from_slice(flags);
+        let (code, text) = xrta_code(&argv);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(code, Some(0), "{flags:?}: {text}");
+        assert!(text.contains(want), "{flags:?}: {text}");
+        assert!(text.contains("| 0 failure(s)"), "{flags:?}: {text}");
+    }
+}
+
+/// The engine and ECO differentials, and a zero time cap that runs no case.
 #[test]
 fn fuzz_smoke_exits_cleanly() {
-    let dir = std::env::temp_dir().join(format!("xrta_cli_fuzz_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let (code, text) = xrta_code(&[
+    fuzz_rows_exit_cleanly(
         "fuzz",
-        "--seeds",
-        "2",
-        "--max-inputs",
-        "4",
-        "--corpus",
-        dir.to_str().expect("utf8 path"),
-    ]);
-    let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(code, Some(0), "{text}");
-    assert!(text.contains("2 of 2 seeds run"), "{text}");
-    assert!(text.contains("0 failure(s)"), "{text}");
+        &[
+            (
+                &["--seeds", "2", "--max-inputs", "4"],
+                "2 of 2 seeds run | max inputs 4 |",
+            ),
+            (
+                &["--edits", "2", "--max-inputs", "4"],
+                "2 of 2 edit sequences run |",
+            ),
+            (
+                &["--seeds", "5", "--time-cap", "0"],
+                "0 of 5 seeds run (time-capped) |",
+            ),
+        ],
+    );
+}
+
+#[test]
+fn resynth_fuzz_smoke_exits_cleanly() {
+    fuzz_rows_exit_cleanly(
+        "rfuzz",
+        &[(
+            &["--resynth", "2", "--max-inputs", "5"],
+            "2 of 2 resynth seeds run |",
+        )],
+    );
 }
 
 #[test]
 fn fuzz_rejects_oversized_max_inputs() {
-    let (code, text) = xrta_code(&["fuzz", "--seeds", "1", "--max-inputs", "99"]);
-    assert_eq!(code, Some(2), "{text}");
-    assert!(text.contains("max-inputs"), "{text}");
+    // Conflicting mode flags are usage errors too, never silently dropped.
+    let pick_one = "--seeds, --edits and --resynth each pick a differential";
+    let cases: [(&[&str], &str); 5] = [
+        (&["--seeds", "1", "--max-inputs", "99"], "max-inputs"),
+        (&["--edits", "2", "--resynth", "3"], pick_one),
+        (
+            &["--edits", "2", "--resynth", "3", "--seeds", "5"],
+            pick_one,
+        ),
+        (&["--edits", "2", "--seeds", "5"], pick_one),
+        (&["--seeds", "5", "--resynth", "3"], pick_one),
+    ];
+    for (flags, want) in cases {
+        let mut argv = vec!["fuzz"];
+        argv.extend_from_slice(flags);
+        let (code, text) = xrta_code(&argv);
+        assert_eq!(code, Some(2), "{flags:?}: {text}");
+        assert!(text.contains(want), "{flags:?}: {text}");
+    }
 }
 
 #[test]
@@ -292,23 +338,4 @@ fn reqtime_slack_report_emits_json() {
     assert!(text.contains("\"true_slack\""), "{text}");
     assert!(text.contains("\"verdict\""), "{text}");
     assert!(text.contains("\"nodes\""), "{text}");
-}
-
-#[test]
-fn resynth_fuzz_smoke_exits_cleanly() {
-    let dir = std::env::temp_dir().join(format!("xrta_cli_rfuzz_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let (code, text) = xrta_code(&[
-        "fuzz",
-        "--resynth",
-        "2",
-        "--max-inputs",
-        "5",
-        "--corpus",
-        dir.to_str().expect("utf8 path"),
-    ]);
-    let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(code, Some(0), "{text}");
-    assert!(text.contains("2 of 2 resynth seeds run"), "{text}");
-    assert!(text.contains("0 failure(s)"), "{text}");
 }

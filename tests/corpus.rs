@@ -4,7 +4,9 @@
 
 use std::path::Path;
 
-use xrta::verify::{check_case, load_dir, replay_pair, replay_resynth_pair, CheckOptions};
+use xrta::verify::{
+    check_case, load_dir, replay_pair, replay_resynth_pair, CheckOptions, CorpusEntry,
+};
 
 fn corpus_dir() -> std::path::PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("netlists/corpus")
@@ -19,34 +21,46 @@ fn corpus_is_seeded() {
     );
 }
 
+/// Replays every `*{first}.bench` entry against its `*{second}.bench`
+/// partner with `replay`, panicking on a missing partner or a
+/// regression. Returns the number of pairs replayed.
+fn replay_pairs(
+    first: &str,
+    second: &str,
+    replay: fn(&CorpusEntry, &CorpusEntry) -> Result<(), String>,
+) -> usize {
+    let entries = load_dir(&corpus_dir()).expect("corpus loads");
+    let mut pairs = 0;
+    for (path, a) in &entries {
+        let stem = path.file_stem().unwrap().to_string_lossy().into_owned();
+        let Some(base) = stem.strip_suffix(first) else {
+            continue;
+        };
+        let b_path = path.with_file_name(format!("{base}{second}.bench"));
+        let (_, b) = entries
+            .iter()
+            .find(|(p, _)| p == &b_path)
+            .unwrap_or_else(|| panic!("{} has no paired {}", path.display(), b_path.display()));
+        replay(a, b).unwrap_or_else(|e| {
+            panic!(
+                "{} -> {} ({}) regressed: {e}",
+                path.display(),
+                b_path.display(),
+                a.origin
+            )
+        });
+        pairs += 1;
+    }
+    pairs
+}
+
 /// Every `*_before.bench` entry pairs with an `*_after.bench` entry;
 /// replaying the pair with a warm cone cache must compose the
 /// byte-identical report a cold analysis produces. A failure here
 /// means a previously found incremental-analysis bug has come back.
 #[test]
 fn eco_pairs_replay_with_a_warm_cone_cache() {
-    let entries = load_dir(&corpus_dir()).expect("corpus loads");
-    let mut pairs = 0;
-    for (path, before) in &entries {
-        let stem = path.file_stem().unwrap().to_string_lossy().into_owned();
-        let Some(base) = stem.strip_suffix("_before") else {
-            continue;
-        };
-        let after_path = path.with_file_name(format!("{base}_after.bench"));
-        let (_, after) = entries
-            .iter()
-            .find(|(p, _)| p == &after_path)
-            .unwrap_or_else(|| panic!("{} has no paired {}", path.display(), after_path.display()));
-        replay_pair(before, after).unwrap_or_else(|e| {
-            panic!(
-                "{} -> {} ({}) regressed: {e}",
-                path.display(),
-                after_path.display(),
-                before.origin
-            )
-        });
-        pairs += 1;
-    }
+    let pairs = replay_pairs("_before", "_after", replay_pair);
     assert!(pairs >= 1, "netlists/corpus/ ships at least one ECO pair");
 }
 
@@ -57,28 +71,7 @@ fn eco_pairs_replay_with_a_warm_cone_cache() {
 /// rewrite was not actually an improvement.
 #[test]
 fn resynth_pairs_replay_verified() {
-    let entries = load_dir(&corpus_dir()).expect("corpus loads");
-    let mut pairs = 0;
-    for (path, pre) in &entries {
-        let stem = path.file_stem().unwrap().to_string_lossy().into_owned();
-        let Some(base) = stem.strip_suffix("_pre") else {
-            continue;
-        };
-        let post_path = path.with_file_name(format!("{base}_post.bench"));
-        let (_, post) = entries
-            .iter()
-            .find(|(p, _)| p == &post_path)
-            .unwrap_or_else(|| panic!("{} has no paired {}", path.display(), post_path.display()));
-        replay_resynth_pair(pre, post).unwrap_or_else(|e| {
-            panic!(
-                "{} -> {} ({}) regressed: {e}",
-                path.display(),
-                post_path.display(),
-                pre.origin
-            )
-        });
-        pairs += 1;
-    }
+    let pairs = replay_pairs("_pre", "_post", replay_resynth_pair);
     assert!(
         pairs >= 1,
         "netlists/corpus/ ships at least one resynth pair"

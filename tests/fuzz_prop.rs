@@ -4,8 +4,7 @@
 //! fault-injection run proving the harness catches and shrinks real
 //! disagreements.
 
-use xrta::verify::harness::FuzzFailure;
-use xrta::verify::{fuzz, CheckOptions, Fault, FuzzOptions};
+use xrta::verify::{fuzz, parse_entry, CheckOptions, Fault, FuzzFailure, FuzzOptions};
 
 /// Debug builds keep the differential sweep snappy; release builds
 /// (CI's `cargo test --release`) widen it.
@@ -17,11 +16,7 @@ const CLEAN_SEEDS: usize = 64;
 fn render(failures: &[FuzzFailure]) -> String {
     failures
         .iter()
-        .flat_map(|f| {
-            f.failures
-                .iter()
-                .map(move |c| format!("  seed {}: {c}", f.index))
-        })
+        .map(|f| format!("  seed {}: {}", f.index, f.detail))
         .collect::<Vec<_>>()
         .join("\n")
 }
@@ -34,7 +29,7 @@ fn differential_fuzz_runs_clean() {
         corpus_dir: None,
         ..FuzzOptions::default()
     };
-    let report = fuzz(&opts, |_| {});
+    let report = fuzz(&opts, &CheckOptions::default(), |_| {});
     assert_eq!(report.seeds_run, CLEAN_SEEDS);
     assert!(
         report.failures.is_empty(),
@@ -51,26 +46,29 @@ fn injected_fault_is_caught_and_shrunk_small() {
         seeds: 4,
         max_inputs: 5,
         corpus_dir: Some(dir.clone()),
-        check: CheckOptions {
-            fault: Some(Fault::LoosenApprox2),
-            ..CheckOptions::default()
-        },
         ..FuzzOptions::default()
     };
-    let report = fuzz(&opts, |_| {});
+    let check = CheckOptions {
+        fault: Some(Fault::LoosenApprox2),
+        ..CheckOptions::default()
+    };
+    let report = fuzz(&opts, &check, |_| {});
     assert!(
         !report.failures.is_empty(),
         "a loosened approx2 must be caught"
     );
     for f in &report.failures {
-        let gates = f.shrunk.net.node_count() - f.shrunk.net.inputs().len();
+        let [path] = &f.filed[..] else {
+            panic!("seed {} filed {:?}, want one entry", f.index, f.filed);
+        };
+        let text = std::fs::read_to_string(path).expect("corpus entry written");
+        let shrunk = parse_entry(&text).expect("corpus entry parses").case.net;
+        let gates = shrunk.node_count() - shrunk.inputs().len();
         assert!(
             gates <= 8,
             "seed {} shrunk to {gates} gates, want ≤ 8",
             f.index
         );
-        let path = f.corpus_path.as_ref().expect("corpus entry written");
-        assert!(path.exists(), "{} missing", path.display());
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

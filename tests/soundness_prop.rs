@@ -25,18 +25,12 @@ const SEEDS_PER_PROPERTY: u64 = 10;
 const SEEDS_PER_PROPERTY: u64 = 25;
 
 /// Deterministic circuit seeds per property. The salt/index pair is
-/// packed into disjoint ranges and pushed through a splitmix64-style
+/// packed into disjoint ranges and pushed through the SplitMix64
 /// bijection, so distinct salts provably yield disjoint seed sets (the
 /// old linear formula let salts collide) while the mixing decorrelates
 /// consecutive indices.
 fn seeds(salt: u64) -> impl Iterator<Item = u64> {
-    fn mix64(mut z: u64) -> u64 {
-        z = z.wrapping_add(0x9E3779B97F4A7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-    (0..SEEDS_PER_PROPERTY).map(move |i| mix64((salt << 32) | i))
+    (0..SEEDS_PER_PROPERTY).map(move |i| xrta_rng::mix64((salt << 32) | i))
 }
 
 /// Tight search options so the randomized tests stay fast: a couple of
