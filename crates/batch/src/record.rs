@@ -2,24 +2,20 @@
 //!
 //! Every record is one flat JSON object (no nesting) in the
 //! [`xrta_robust::jsonflat`] dialect, so the journal needs no external
-//! dependencies and stays greppable. Time vectors are space-separated
-//! tick tokens (`INF`/`-INF` for the infinities) per
-//! [`xrta_timing::tokens`]; a set of points joins vectors with `|`.
+//! dependencies and stays greppable. A `done` record is the job and
+//! attempt followed by [`Answer::encode_fields`]; a journal whose
+//! `done` records lack the answer's `degraded` and `degraded_reason`
+//! fields is refused on resume.
 //!
 //! The journal carries **only deterministic fields** — no wall-clock
 //! durations, no timestamps — so a report rebuilt from a
 //! crash-interrupted journal plus its resumed tail is byte-identical
 //! to the report of an uninterrupted run.
 
-use xrta_core::Verdict;
-use xrta_robust::jsonflat::{escape as json_escape, parse_flat_object};
-use xrta_timing::Time;
+use xrta_core::Answer;
+use xrta_robust::jsonflat::{escape, Fields};
 
 use crate::classify::FailureClass;
-
-// Re-exported for existing users of the journal/report encodings; the
-// implementations live with `Time` itself in `xrta-timing`.
-pub use xrta_timing::tokens::{encode_points, encode_times, parse_points, parse_times, time_token};
 
 /// One journal record.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -76,27 +72,9 @@ pub struct DoneRecord {
     pub job: usize,
     /// Attempt number.
     pub attempt: u64,
-    /// Rung requested by the manifest.
-    pub requested: Verdict,
-    /// Rung that answered (may be lower: degraded).
-    pub verdict: Verdict,
-    /// Whether the answer beats the topological requirement anywhere.
-    pub nontrivial: bool,
-    /// Output required-time vector the job was analysed against
-    /// (aligned with `net.outputs()`).
-    pub req: Vec<Time>,
-    /// Input-side witness points (aligned with `net.inputs()`):
-    /// approx2's maximal safe points, or the single topological
-    /// vector; empty for the relational rungs.
-    pub points: Vec<Vec<Time>>,
-}
-
-pub(crate) fn escape(s: &str) -> String {
-    json_escape(s)
-}
-
-fn parse_verdict(s: &str) -> Result<Verdict, String> {
-    s.parse()
+    /// The answer, as the session (or the remote server) gave it: `req`
+    /// is aligned with `net.outputs()`, each point with `net.inputs()`.
+    pub answer: Answer,
 }
 
 impl Event {
@@ -114,14 +92,10 @@ impl Event {
                 format!("{{\"event\":\"start\",\"job\":{job},\"attempt\":{attempt}}}")
             }
             Event::Done(d) => format!(
-                "{{\"event\":\"done\",\"job\":{},\"attempt\":{},\"requested\":\"{}\",\"verdict\":\"{}\",\"nontrivial\":{},\"req\":\"{}\",\"points\":\"{}\"}}",
+                "{{\"event\":\"done\",\"job\":{},\"attempt\":{},{}}}",
                 d.job,
                 d.attempt,
-                d.requested,
-                d.verdict,
-                d.nontrivial,
-                encode_times(&d.req),
-                encode_points(&d.points),
+                d.answer.encode_fields(),
             ),
             Event::Fail {
                 job,
@@ -139,52 +113,36 @@ impl Event {
 
     /// Parses a record previously produced by [`Event::encode`].
     pub fn parse(s: &str) -> Result<Event, String> {
-        let fields = parse_flat_object(s)?;
-        let get = |key: &str| -> Result<&str, String> {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v.as_str())
-                .ok_or_else(|| format!("record missing {key:?}: {s}"))
-        };
-        let get_num = |key: &str| -> Result<u64, String> {
-            get(key)?
-                .parse()
-                .map_err(|e| format!("bad {key} in record: {e}"))
-        };
-        match get("event")? {
+        let f = Fields::parse(s)?;
+        match f.get("event")? {
             "run" => Ok(Event::Run {
-                jobs: get_num("jobs")? as usize,
-                seed: get_num("seed")?,
-                manifest_crc: u32::from_str_radix(get("manifest_crc")?, 16)
+                jobs: f.get_u64("jobs")? as usize,
+                seed: f.get_u64("seed")?,
+                manifest_crc: u32::from_str_radix(f.get("manifest_crc")?, 16)
                     .map_err(|e| format!("bad manifest_crc: {e}"))?,
             }),
             "start" => Ok(Event::Start {
-                job: get_num("job")? as usize,
-                attempt: get_num("attempt")?,
+                job: f.get_u64("job")? as usize,
+                attempt: f.get_u64("attempt")?,
             }),
             "done" => Ok(Event::Done(DoneRecord {
-                job: get_num("job")? as usize,
-                attempt: get_num("attempt")?,
-                requested: parse_verdict(get("requested")?)?,
-                verdict: parse_verdict(get("verdict")?)?,
-                nontrivial: get("nontrivial")? == "true",
-                req: parse_times(get("req")?)?,
-                points: parse_points(get("points")?)?,
+                job: f.get_u64("job")? as usize,
+                attempt: f.get_u64("attempt")?,
+                answer: Answer::from_fields(&f)?,
             })),
             "fail" => Ok(Event::Fail {
-                job: get_num("job")? as usize,
-                attempt: get_num("attempt")?,
-                error: get("error")?.to_string(),
-                class: match get("class")? {
+                job: f.get_u64("job")? as usize,
+                attempt: f.get_u64("attempt")?,
+                error: f.get("error")?.to_string(),
+                class: match f.get("class")? {
                     "transient" => FailureClass::Transient,
                     "permanent" => FailureClass::Permanent,
                     other => return Err(format!("unknown failure class {other:?}")),
                 },
-                is_final: get("final")? == "true",
+                is_final: f.get_bool("final")?,
             }),
             "shed" => Ok(Event::Shed {
-                job: get_num("job")? as usize,
+                job: f.get_u64("job")? as usize,
             }),
             other => Err(format!("unknown event {other:?}")),
         }
@@ -194,6 +152,8 @@ impl Event {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xrta_core::Verdict;
+    use xrta_timing::Time;
 
     fn roundtrip(e: Event) {
         let text = e.encode();
@@ -211,14 +171,17 @@ mod tests {
         roundtrip(Event::Done(DoneRecord {
             job: 7,
             attempt: 1,
-            requested: Verdict::Approx2,
-            verdict: Verdict::Topological,
-            nontrivial: true,
-            req: vec![Time::new(6), Time::INF],
-            points: vec![
-                vec![Time::new(2), Time::NEG_INF],
-                vec![Time::new(-3), Time::new(4)],
-            ],
+            answer: Answer {
+                requested: Verdict::Approx2,
+                verdict: Verdict::Topological,
+                nontrivial: true,
+                req: vec![Time::new(6), Time::INF],
+                points: vec![
+                    vec![Time::new(2), Time::NEG_INF],
+                    vec![Time::new(-3), Time::new(4)],
+                ],
+                degraded_reason: "wall-clock \"deadline\" exceeded\\".to_string(),
+            },
         }));
         roundtrip(Event::Fail {
             job: 0,
@@ -235,11 +198,14 @@ mod tests {
         roundtrip(Event::Done(DoneRecord {
             job: 0,
             attempt: 0,
-            requested: Verdict::Exact,
-            verdict: Verdict::Exact,
-            nontrivial: false,
-            req: vec![],
-            points: vec![],
+            answer: Answer {
+                requested: Verdict::Exact,
+                verdict: Verdict::Exact,
+                nontrivial: false,
+                req: vec![],
+                points: vec![],
+                degraded_reason: String::new(),
+            },
         }));
     }
 
@@ -252,6 +218,9 @@ mod tests {
             "{\"event\":\"start\",\"job\":1}",
             "{\"event\":\"run\",\"jobs\":x,\"seed\":0,\"manifest_crc\":\"00\"}",
             "not json at all",
+            // A `done` record from before it embedded the whole answer.
+            "{\"event\":\"done\",\"job\":0,\"attempt\":0,\"requested\":\"exact\",\
+             \"verdict\":\"exact\",\"nontrivial\":true,\"req\":\"2\",\"points\":\"\"}",
         ] {
             assert!(Event::parse(bad).is_err(), "{bad:?} should be rejected");
         }

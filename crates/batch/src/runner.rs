@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use xrta_chi::EngineKind;
 use xrta_core::{
-    failpoint, run_with_fallback, AnalysisError, Approx2Options, Budget, SessionOptions,
+    failpoint, run_with_fallback, AnalysisError, Answer, Approx2Options, Budget, SessionOptions,
 };
 use xrta_network::load_network_file;
 use xrta_rng::Rng;
@@ -27,8 +27,9 @@ use xrta_timing::{topological_delays, Time, UnitDelay};
 
 use crate::classify::{FailureClass, JobError};
 use crate::manifest::{parse_manifest, JobSpec};
-use crate::record::{encode_points, encode_times, DoneRecord, Event};
+use crate::record::{DoneRecord, Event};
 use xrta_robust::backoff::BackoffPolicy;
+use xrta_robust::jsonflat::escape;
 
 /// Tuning knobs for one batch run.
 #[derive(Clone, Debug)]
@@ -209,7 +210,7 @@ fn mix(seed: u64, job: u64, attempt: u64) -> u64 {
 
 /// How one attempt ended.
 enum AttemptOutcome {
-    Answered(DoneRecord),
+    Answered(Answer),
     Failed(JobError),
     /// Cancel flag raised mid-attempt: stop the run, journal nothing
     /// (the dangling `Start` marks the attempt for re-run).
@@ -289,15 +290,7 @@ fn run_attempt_remote(
             msg,
             transient: false,
         }),
-        Ok(xrta_serve::Response::Answer(a)) => AttemptOutcome::Answered(DoneRecord {
-            job: 0, // filled by the caller
-            attempt: 0,
-            requested: a.requested,
-            verdict: a.verdict,
-            nontrivial: a.nontrivial,
-            req: a.req,
-            points: a.points,
-        }),
+        Ok(xrta_serve::Response::Answer(a)) => AttemptOutcome::Answered(a),
         Ok(other) => AttemptOutcome::Failed(JobError::Remote {
             msg: format!("unexpected response {other:?}"),
             transient: false,
@@ -342,18 +335,7 @@ fn run_attempt_inner(spec: &JobSpec, attempt: u64, opts: &BatchOptions) -> Attem
         Err(_) => AttemptOutcome::Failed(JobError::Panicked),
         Ok(Err(AnalysisError::Interrupted)) => AttemptOutcome::Interrupted,
         Ok(Err(e)) => AttemptOutcome::Failed(JobError::Analysis(e)),
-        Ok(Ok(mut report)) => {
-            let digest = report.digest();
-            AttemptOutcome::Answered(DoneRecord {
-                job: 0, // filled by the caller
-                attempt: 0,
-                requested: report.requested,
-                verdict: report.verdict,
-                nontrivial: digest.nontrivial,
-                req,
-                points: digest.points,
-            })
-        }
+        Ok(Ok(mut report)) => AttemptOutcome::Answered(report.digest()),
     }
 }
 
@@ -384,7 +366,9 @@ pub fn run_batch(cfg: &BatchConfig) -> Result<BatchSummary, BatchError> {
     let mut journal = if cfg.resume && cfg.journal.exists() {
         let (loaded, journal) = Journal::resume(&cfg.journal).map_err(journal_err)?;
         for line in &loaded.records {
-            events.push(Event::parse(line).map_err(BatchError::Journal)?);
+            let event =
+                Event::parse(line).map_err(|e| BatchError::Journal(format!("{e}: {line}")))?;
+            events.push(event);
         }
         match events.first() {
             None => {}
@@ -486,9 +470,12 @@ pub fn run_batch(cfg: &BatchConfig) -> Result<BatchSummary, BatchError> {
                     interrupted = true;
                     break 'jobs;
                 }
-                AttemptOutcome::Answered(mut d) => {
-                    d.job = k;
-                    d.attempt = attempt;
+                AttemptOutcome::Answered(answer) => {
+                    let d = DoneRecord {
+                        job: k,
+                        attempt,
+                        answer,
+                    };
                     journal
                         .append(&Event::Done(d.clone()).encode())
                         .map_err(journal_err)?;
@@ -600,22 +587,15 @@ fn render_report(jobs: &[JobSpec], seed: u64, manifest_crc: u32, events: &[Event
             .iter()
             .filter(|ev| matches!(ev, Event::Fail { job, .. } if *job == k))
             .count();
+        let head = format!("\"job\":{k},\"path\":\"{}\"", escape(&spec.path));
         let row = if let Some(d) = events.iter().find_map(|ev| match ev {
             Event::Done(d) if d.job == k => Some(d),
             _ => None,
         }) {
             format!(
-                "{{\"job\":{k},\"path\":\"{}\",\"outcome\":\"done\",\"requested\":\"{}\",\
-                 \"verdict\":\"{}\",\"degraded\":{},\"attempts\":{},\"nontrivial\":{},\
-                 \"req\":\"{}\",\"points\":\"{}\"}}",
-                spec.path,
-                d.requested,
-                d.verdict,
-                d.requested != d.verdict,
+                "{{{head},\"outcome\":\"done\",\"attempts\":{},{}}}",
                 fails + 1,
-                d.nontrivial,
-                encode_times(&d.req),
-                encode_points(&d.points),
+                d.answer.encode_fields(),
             )
         } else if let Some((error, class)) = events.iter().find_map(|ev| match ev {
             Event::Fail {
@@ -628,18 +608,14 @@ fn render_report(jobs: &[JobSpec], seed: u64, manifest_crc: u32, events: &[Event
             _ => None,
         }) {
             format!(
-                "{{\"job\":{k},\"path\":\"{}\",\"outcome\":\"failed\",\"attempts\":{fails},\
-                 \"error\":\"{}\",\"class\":\"{class}\"}}",
-                spec.path,
-                crate::record::escape(error),
+                "{{{head},\"outcome\":\"failed\",\"attempts\":{fails},\"error\":\"{}\",\
+                 \"class\":\"{class}\"}}",
+                escape(error),
             )
         } else {
             // All jobs are terminal when a report is rendered, so the
             // only case left is shed.
-            format!(
-                "{{\"job\":{k},\"path\":\"{}\",\"outcome\":\"shed\",\"attempts\":{fails}}}",
-                spec.path
-            )
+            format!("{{{head},\"outcome\":\"shed\",\"attempts\":{fails}}}")
         };
         let comma = if k + 1 < jobs.len() { "," } else { "" };
         let _ = writeln!(out, "    {row}{comma}");

@@ -10,8 +10,10 @@ use std::time::Duration;
 
 use xrta_batch::{run_batch, BatchConfig, BatchError, BatchOptions, Event};
 use xrta_circuits::{bypass_chain, c17, fig4};
+use xrta_core::{Answer, Verdict};
 use xrta_network::write_bench;
 use xrta_robust::backoff::BackoffPolicy;
+use xrta_robust::jsonflat::Fields;
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
 
@@ -213,6 +215,47 @@ fn zero_aggregate_budget_sheds_everything() {
     assert!(summary.report_path.is_some(), "shed jobs are terminal");
     let report = std::fs::read_to_string(&cfg.report).unwrap();
     assert!(report.contains("\"outcome\":\"shed\""), "{report}");
+}
+
+/// Every `results` row parses as one flat object whatever the manifest
+/// paths hold, and a `done` row embeds the answer record.
+#[test]
+fn report_rows_escape_paths_and_embed_the_answer() {
+    let dir = Scratch::new("escape");
+    let odd = dir.path("q\"uo\\te");
+    std::fs::create_dir_all(&odd).unwrap();
+    std::fs::write(odd.join("c17.bench"), write_bench(&c17())).unwrap();
+    let done = format!("{}/c17.bench", odd.display());
+    let failed = format!("{}/missing.bench", odd.display());
+    let manifest = dir.path("odd.manifest");
+    std::fs::write(&manifest, format!("{done} algo=approx2\n{failed}\n")).unwrap();
+
+    let cfg = config(&dir, manifest);
+    let mut shed_cfg = cfg.clone();
+    shed_cfg.journal = dir.path("shed.journal");
+    shed_cfg.report = dir.path("shed.json");
+    shed_cfg.options.aggregate_timeout = Some(Duration::ZERO);
+    for (cfg, outcomes) in [(cfg, ["done", "failed"]), (shed_cfg, ["shed", "shed"])] {
+        run_batch(&cfg).unwrap();
+        let report = std::fs::read_to_string(&cfg.report).unwrap();
+        let rows: Vec<&str> = report
+            .lines()
+            .map(|l| l.trim().trim_end_matches(','))
+            .filter(|l| l.starts_with("{\"job\""))
+            .collect();
+        assert_eq!(rows.len(), 2, "{report}");
+        for (row, (path, outcome)) in rows.iter().zip([&done, &failed].into_iter().zip(outcomes)) {
+            let row = Fields::parse(row).unwrap_or_else(|e| panic!("{e}: {row}"));
+            assert_eq!(row.get("path").unwrap(), path);
+            assert_eq!(row.get("outcome").unwrap(), outcome);
+            if outcome == "done" {
+                assert_eq!(row.get_u64("attempts").unwrap(), 1);
+                let answer = Answer::from_fields(&row).unwrap();
+                assert_eq!(answer.verdict, Verdict::Approx2);
+                assert_eq!(answer.req.len(), 2, "one required time per c17 output");
+            }
+        }
+    }
 }
 
 #[test]

@@ -21,9 +21,11 @@
 //! governed session ladder on the canonical cone, so two structurally
 //! identical cones (even in *different* netlists, or two isomorphic
 //! outputs of the same netlist) share one cached answer. [`splice`]
-//! folds per-cone verdicts back into a whole-netlist report, lifting
-//! each cone-local witness point onto the full input list over the
-//! classical topological baseline.
+//! folds per-cone answers back into a whole-netlist one, lifting each
+//! cone-local witness point onto the full input list over the
+//! classical topological baseline. Both speak the session's one answer
+//! record, [`Answer`], so a cone answer is cached, and a spliced answer
+//! compared and sent, in its one encoding.
 //!
 //! Soundness of the splice: each cone is analysed against its own
 //! output's deadline by the same sound ladder the whole-net path uses,
@@ -39,7 +41,7 @@ use xrta_network::{Network, NodeFunc, NodeId, TruthTable};
 use xrta_timing::{required_times, tokens, DelayModel, TableDelay, Time};
 
 use crate::governor::AnalysisError;
-use crate::session::{run_with_fallback, SessionOptions, Verdict};
+use crate::session::{run_with_fallback, Answer, SessionOptions, Verdict};
 
 /// One output's fanin cone in canonical form.
 #[derive(Clone, Debug)]
@@ -76,54 +78,6 @@ impl ConeSlice {
         (self.descriptor.capacity()
             + self.net.node_count() * PER_NODE
             + self.inputs.len() * std::mem::size_of::<usize>()) as u64
-    }
-}
-
-/// The cached essence of one cone's governed analysis.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ConeVerdict {
-    /// Rung that answered for this cone.
-    pub verdict: Verdict,
-    /// Whether the cone beats its topological requirement anywhere.
-    pub nontrivial: bool,
-    /// Witness points over the cone's canonical inputs.
-    pub points: Vec<Vec<Time>>,
-    /// Budget-exhaustion reason behind a degraded verdict, empty
-    /// otherwise.
-    pub degraded_reason: String,
-}
-
-/// A whole-netlist report composed from per-cone verdicts.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SpliceReport {
-    /// Rung the caller asked for.
-    pub requested: Verdict,
-    /// Most degraded rung any cone answered at.
-    pub verdict: Verdict,
-    /// Whether any cone beats its topological requirement.
-    pub nontrivial: bool,
-    /// One row per witness point, full input width: the classical
-    /// topological requirement overlaid with the cone's values at the
-    /// cone's own input positions. Cones whose rung carries no points
-    /// contribute their plain topological row.
-    pub points: Vec<Vec<Time>>,
-    /// First (by output order) cone's degradation reason, if any.
-    pub degraded_reason: String,
-}
-
-impl SpliceReport {
-    /// Deterministic rendering, for differential byte comparison.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "splice: requested={} verdict={} nontrivial={} reason={}\n",
-            self.requested, self.verdict, self.nontrivial, self.degraded_reason
-        );
-        for p in &self.points {
-            out.push_str("point: ");
-            out.push_str(&tokens::encode_times(p));
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -252,7 +206,9 @@ fn slice_one<D: DelayModel>(
     }
 }
 
-/// Runs the governed session ladder on one canonical cone.
+/// Runs the governed session ladder on one canonical cone and returns
+/// its [`Answer`]: `req` is the cone's one required time, and the
+/// points range over the cone's canonical inputs.
 ///
 /// The answer depends only on the slice's descriptor (and the budget in
 /// `options`), which is what makes cone-level caching sound: equal
@@ -261,25 +217,20 @@ pub fn analyze_cone(
     slice: &ConeSlice,
     requested: Verdict,
     options: &SessionOptions,
-) -> Result<ConeVerdict, AnalysisError> {
+) -> Result<Answer, AnalysisError> {
     let mut model = TableDelay::with_default(&slice.net, 1);
     for (idx, &t) in slice.ticks.iter().enumerate() {
         model.set(NodeId::from_index(idx), t);
     }
-    let mut report = run_with_fallback(&slice.net, &model, &[slice.req], requested, options)?;
-    let digest = report.digest();
-    Ok(ConeVerdict {
-        verdict: report.verdict,
-        nontrivial: digest.nontrivial,
-        points: digest.points,
-        degraded_reason: report
-            .exhaustion_reason()
-            .map(|e| e.to_string())
-            .unwrap_or_default(),
-    })
+    Ok(run_with_fallback(&slice.net, &model, &[slice.req], requested, options)?.digest())
 }
 
-/// Composes per-cone verdicts into one whole-netlist report.
+/// Composes per-cone answers into one whole-netlist [`Answer`]: the
+/// most degraded cone rung, non-trivial when any cone is, and the first
+/// (by output order) cone's degradation reason. Each cone point becomes
+/// one full-width row, the topological requirement overlaid with the
+/// cone's values at its own input positions; a cone without points
+/// contributes the plain topological row.
 ///
 /// `slices` and `verdicts` must be index-aligned (one pair per output,
 /// as produced by [`slice_cones`] + [`analyze_cone`]).
@@ -289,23 +240,27 @@ pub fn splice<D: DelayModel>(
     req: &[Time],
     requested: Verdict,
     slices: &[ConeSlice],
-    verdicts: &[ConeVerdict],
-) -> SpliceReport {
+    verdicts: &[Answer],
+) -> Answer {
     assert_eq!(slices.len(), verdicts.len(), "one verdict per cone");
     let all_req = required_times(net, model, req);
     let r_bottom: Vec<Time> = net.inputs().iter().map(|i| all_req[i.index()]).collect();
-    let mut points = Vec::new();
-    let mut verdict = requested;
-    let mut nontrivial = false;
-    let mut degraded_reason = String::new();
+    let mut out = Answer {
+        requested,
+        verdict: requested,
+        nontrivial: false,
+        req: req.to_vec(),
+        points: Vec::new(),
+        degraded_reason: String::new(),
+    };
     for (slice, v) in slices.iter().zip(verdicts) {
-        verdict = verdict.max(v.verdict);
-        nontrivial |= v.nontrivial;
-        if degraded_reason.is_empty() && !v.degraded_reason.is_empty() {
-            degraded_reason = v.degraded_reason.clone();
+        out.verdict = out.verdict.max(v.verdict);
+        out.nontrivial |= v.nontrivial;
+        if out.degraded_reason.is_empty() {
+            out.degraded_reason.clone_from(&v.degraded_reason);
         }
         if v.points.is_empty() {
-            points.push(r_bottom.clone());
+            out.points.push(r_bottom.clone());
             continue;
         }
         for p in &v.points {
@@ -313,16 +268,10 @@ pub fn splice<D: DelayModel>(
             for (ci, &gi) in slice.inputs.iter().enumerate() {
                 row[gi] = p[ci];
             }
-            points.push(row);
+            out.points.push(row);
         }
     }
-    SpliceReport {
-        requested,
-        verdict,
-        nontrivial,
-        points,
-        degraded_reason,
-    }
+    out
 }
 
 #[cfg(test)]
@@ -477,7 +426,7 @@ mod tests {
         let net = fig4();
         let req = vec![Time::new(2)];
         let slices = slice_cones(&net, &UnitDelay, &req);
-        let verdicts: Vec<ConeVerdict> = slices
+        let verdicts: Vec<Answer> = slices
             .iter()
             .map(|s| analyze_cone(s, Verdict::Approx2, &SessionOptions::default()).unwrap())
             .collect();
@@ -521,16 +470,16 @@ mod tests {
     }
 
     #[test]
-    fn render_is_deterministic() {
+    fn splice_encoding_is_deterministic() {
         let net = c17();
         let req = topological_delays(&net, &UnitDelay);
         let run = || {
             let slices = slice_cones(&net, &UnitDelay, &req);
-            let verdicts: Vec<ConeVerdict> = slices
+            let verdicts: Vec<Answer> = slices
                 .iter()
                 .map(|s| analyze_cone(s, Verdict::Approx2, &SessionOptions::default()).unwrap())
                 .collect();
-            splice(&net, &UnitDelay, &req, Verdict::Approx2, &slices, &verdicts).render()
+            splice(&net, &UnitDelay, &req, Verdict::Approx2, &slices, &verdicts).encode_fields()
         };
         assert_eq!(run(), run());
     }

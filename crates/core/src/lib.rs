@@ -78,7 +78,7 @@ pub use approx1::{
 pub use approx2::{
     approx2_required_times, approx2_required_times_governed, Approx2Options, Approx2Result,
 };
-pub use cone::{analyze_cone, slice_cones, splice, ConeSlice, ConeVerdict, SpliceReport};
+pub use cone::{analyze_cone, slice_cones, splice, ConeSlice};
 pub use dominance::DominanceCache;
 pub use exact::{exact_required_times, exact_required_times_governed, ExactAnalysis, ExactOptions};
 pub use flex::{
@@ -93,8 +93,7 @@ pub use leaves::{LeafMode, LeafVarKey, ParamVarKey, PlannedLeaves};
 pub use macro_model::{macro_model, MacroModel};
 pub use plan::{plan_leaves, LeafPlan, LeafTimes};
 pub use session::{
-    run_with_fallback, AnswerDigest, RungAttempt, SessionAnswer, SessionOptions, SessionReport,
-    Verdict,
+    run_with_fallback, Answer, RungAttempt, SessionAnswer, SessionOptions, SessionReport, Verdict,
 };
 pub use slack::{true_slack, TrueSlack};
 pub use stripes::{support_fingerprint, Claim, StripedVerdictCache};

@@ -14,10 +14,20 @@
 //! less precise one. The report records provenance: which rung was
 //! requested, which answered, and what each attempt spent, so callers
 //! can tell a degraded answer from a full one.
+//!
+//! [`SessionReport::digest`] boils a report down to an [`Answer`]: the
+//! record Table 2 reports per circuit (the answering rung, whether it
+//! beats the topological bottom r⊥, the witness points) plus the
+//! required times it ran against and why it degraded. Every machine
+//! consumer embeds it in one encoding, [`Answer::encode_fields`]: the
+//! serve `answer` frame and cone-cache entry, and the batch journal's
+//! `done` record and report row.
 
 use std::time::{Duration, Instant};
 
 use xrta_network::Network;
+use xrta_robust::jsonflat::{escape, Fields};
+use xrta_timing::tokens::{encode_points, encode_times, parse_points, parse_times};
 use xrta_timing::{required_times, DelayModel, Time};
 
 use crate::approx1::{approx1_required_times_governed, Approx1Analysis, Approx1Options};
@@ -144,23 +154,74 @@ pub struct SessionReport {
     pub requested: Verdict,
     /// The rung that answered.
     pub verdict: Verdict,
+    /// Output required-time vector the session ran against.
+    pub req: Vec<Time>,
     /// The answer itself.
     pub answer: SessionAnswer,
     /// Every rung attempted, in order (the last one answered).
     pub attempts: Vec<RungAttempt>,
 }
 
-/// The serialisable essence of a session answer: the facts every
-/// machine consumer (batch journal, serve protocol) records, with the
-/// rung-specific analysis structures boiled away.
+/// One analysis answer with the rung-specific analysis structures
+/// boiled away: what a session, a cone analysis or a splice of cone
+/// answers reports to every machine consumer.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AnswerDigest {
-    /// Whether the answer beats the topological requirement anywhere.
+pub struct Answer {
+    /// The rung originally requested.
+    pub requested: Verdict,
+    /// The rung that answered (lower when degraded).
+    pub verdict: Verdict,
+    /// Whether the answer beats the topological requirement r⊥
+    /// anywhere.
     pub nontrivial: bool,
+    /// Output required-time vector the analysis ran against.
+    pub req: Vec<Time>,
     /// Input-side witness points (aligned with `net.inputs()`):
     /// approx2's maximal safe points, or the single topological
     /// vector; empty for the relational rungs.
     pub points: Vec<Vec<Time>>,
+    /// Budget-exhaustion reason behind a degraded verdict, empty
+    /// otherwise.
+    pub degraded_reason: String,
+}
+
+impl Answer {
+    /// Did the analysis answer below the requested rung?
+    pub fn degraded(&self) -> bool {
+        self.verdict != self.requested
+    }
+
+    /// The record as flat-JSON fields without the enclosing braces, for
+    /// embedding in a larger object:
+    /// `"requested":…,"verdict":…,"degraded":…,"nontrivial":…,"req":…,"points":…,"degraded_reason":…`.
+    /// Time vectors use the [`xrta_timing::tokens`] encoding.
+    /// `degraded` is derived from the two rungs and is not read back.
+    pub fn encode_fields(&self) -> String {
+        format!(
+            "\"requested\":\"{}\",\"verdict\":\"{}\",\"degraded\":{},\"nontrivial\":{},\
+             \"req\":\"{}\",\"points\":\"{}\",\"degraded_reason\":\"{}\"",
+            self.requested,
+            self.verdict,
+            self.degraded(),
+            self.nontrivial,
+            encode_times(&self.req),
+            encode_points(&self.points),
+            escape(&self.degraded_reason),
+        )
+    }
+
+    /// Inverse of [`Answer::encode_fields`], reading the fields out of
+    /// whichever record embeds them.
+    pub fn from_fields(f: &Fields) -> Result<Answer, String> {
+        Ok(Answer {
+            requested: f.get("requested")?.parse()?,
+            verdict: f.get("verdict")?.parse()?,
+            nontrivial: f.get_bool("nontrivial")?,
+            req: parse_times(f.get("req")?)?,
+            points: parse_points(f.get("points")?)?,
+            degraded_reason: f.get("degraded_reason")?.to_string(),
+        })
+    }
 }
 
 impl SessionReport {
@@ -169,16 +230,26 @@ impl SessionReport {
         self.verdict != self.requested
     }
 
-    /// Collapses the answer into its [`AnswerDigest`]. Takes `&mut`
-    /// because the exact relation memoises its non-triviality check.
-    pub fn digest(&mut self) -> AnswerDigest {
+    /// Collapses the report into its [`Answer`]. Takes `&mut` because
+    /// the exact relation memoises its non-triviality check.
+    pub fn digest(&mut self) -> Answer {
         let (nontrivial, points) = match &mut self.answer {
             SessionAnswer::Exact(a) => (a.has_nontrivial_requirement(), Vec::new()),
             SessionAnswer::Approx1(a) => (a.has_nontrivial_requirement(), Vec::new()),
             SessionAnswer::Approx2(r) => (r.has_nontrivial_requirement(), r.maximal.clone()),
             SessionAnswer::Topological(v) => (false, vec![v.clone()]),
         };
-        AnswerDigest { nontrivial, points }
+        Answer {
+            requested: self.requested,
+            verdict: self.verdict,
+            nontrivial,
+            req: self.req.clone(),
+            points,
+            degraded_reason: self
+                .exhaustion_reason()
+                .map(|e| e.to_string())
+                .unwrap_or_default(),
+        }
     }
 
     /// The budget-exhaustion reason that forced the first step down
@@ -285,6 +356,7 @@ pub fn run_with_fallback<D: DelayModel>(
                 return Ok(SessionReport {
                     requested,
                     verdict: rung,
+                    req: output_required.to_vec(),
                     answer,
                     attempts,
                 });
@@ -346,15 +418,44 @@ mod tests {
             fallback: true,
             ..SessionOptions::default()
         };
-        let r = run_with_fallback(&net, &UnitDelay, &req2(), Verdict::Exact, &opts).unwrap();
+        let mut r = run_with_fallback(&net, &UnitDelay, &req2(), Verdict::Exact, &opts).unwrap();
         assert!(r.degraded(), "8 nodes cannot fit the exact relation");
-        assert!(matches!(
-            r.exhaustion_reason(),
-            Some(AnalysisError::Capacity { .. })
-        ));
+        let reason = r.exhaustion_reason();
+        assert!(matches!(reason, Some(AnalysisError::Capacity { .. })));
         // BDD rungs both die on capacity; approx2's BDD-free SAT oracle
         // or the topological rung answers.
         assert!(r.verdict > Verdict::Approx1);
+        // The digest carries the provenance and the deadline it ran
+        // against.
+        let a = r.digest();
+        assert_eq!((a.degraded(), a.req), (true, req2()));
+        assert_eq!(a.degraded_reason, reason.unwrap().to_string());
+    }
+
+    #[test]
+    fn answer_fields_round_trip() {
+        let full = Answer {
+            requested: Verdict::Exact,
+            verdict: Verdict::Topological,
+            nontrivial: false,
+            req: vec![Time::new(4), Time::INF],
+            points: vec![vec![Time::NEG_INF, Time::new(-1)], vec![Time::new(2); 2]],
+            degraded_reason: "node \"budget\"\\ exhausted\n".to_string(),
+        };
+        let empty = Answer {
+            verdict: Verdict::Exact,
+            nontrivial: true,
+            req: Vec::new(),
+            points: Vec::new(),
+            degraded_reason: String::new(),
+            ..full.clone()
+        };
+        for a in [full, empty] {
+            let record = format!("{{\"event\":\"done\",{}}}", a.encode_fields());
+            let fields = Fields::parse(&record).unwrap();
+            assert_eq!(fields.get_bool("degraded").unwrap(), a.degraded());
+            assert_eq!(Answer::from_fields(&fields).unwrap(), a, "{record}");
+        }
     }
 
     #[test]

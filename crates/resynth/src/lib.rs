@@ -323,7 +323,8 @@ pub fn resynthesize(net: &Network, delays: &DelaySpec, opts: &ResynthOptions) ->
             }
             // Prescribed leaf times: true arrivals (the false-path-aware
             // values this whole exercise is about), topological when the
-            // leaf is constant.
+            // leaf's function is constant, and 0 for a constant node,
+            // -INF both ways: inputs arrive at 0, so no leaf is earlier.
             let ft = FunctionalTiming::new(&cur, &model, zeros.clone(), opts.engine)
                 .with_conflict_budget(opts.budget.sat_conflicts())
                 .with_node_limit(opts.budget.node_limit())
@@ -332,11 +333,10 @@ pub fn resynthesize(net: &Network, delays: &DelaySpec, opts: &ResynthOptions) ->
                 .with_cancel_flag(Some(opts.budget.cancel_flag()));
             let leaf_time = |id: NodeId| -> Result<i64, AnalysisError> {
                 let t = ft.try_true_arrival(id).map_err(AnalysisError::from)?;
-                Ok(if t.is_finite() {
-                    t.ticks()
-                } else {
-                    topo_arr[id.index()].ticks()
-                })
+                Ok([t, topo_arr[id.index()]]
+                    .into_iter()
+                    .find(|t| t.is_finite())
+                    .map_or(0, Time::ticks))
             };
             let mut failed: Option<AnalysisError> = None;
             let mut seg_leaves = Vec::with_capacity(ch.segments.len());
@@ -578,6 +578,34 @@ mod tests {
         for (b, a) in before.iter().zip(&after) {
             assert!(a <= b, "output regressed: {b} -> {a}\n{}", r.render());
         }
+        assert_eq!(check_equivalence(&net, &r.net), Equivalence::Equivalent);
+    }
+
+    /// A constant leaf has no finite arrival, true or topological; the
+    /// chain through it must still be rebuilt rather than panic.
+    #[test]
+    fn chain_with_a_constant_leaf_is_rebuilt() {
+        use xrta_network::{GateKind, TruthTable};
+        let mut net = Network::new("const_leaf");
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|n| net.add_input(n).unwrap());
+        let k = net
+            .add_table("k", TruthTable::constant(0, true), &[])
+            .unwrap();
+        let mut gate = |name, kind, fanins: &[NodeId]| net.add_gate(name, kind, fanins).unwrap();
+        let x1 = gate("x1", GateKind::And, &[a, b]);
+        let x2 = gate("x2", GateKind::Or, &[x1, c]);
+        let x3 = gate("x3", GateKind::And, &[x2, k]);
+        let x4 = gate("x4", GateKind::Or, &[x3, d]);
+        net.mark_output(x4);
+        let r = resynthesize(&net, &DelaySpec::unit(), &ResynthOptions::default());
+        assert!(r.degraded.is_none());
+        assert!(r.changed, "{}", r.render());
+        assert_eq!(
+            (r.worst_before, r.worst_after, r.equivalence_checks),
+            (Time::new(4), Time::new(3), 1),
+            "{}",
+            r.render()
+        );
         assert_eq!(check_equivalence(&net, &r.net), Equivalence::Equivalent);
     }
 

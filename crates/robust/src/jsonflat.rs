@@ -26,8 +26,9 @@ pub fn escape(s: &str) -> String {
 /// order. String values are unescaped; numbers and booleans are
 /// returned as their raw token text. No nested objects or arrays.
 /// Whitespace between tokens is skipped, so compact records and
-/// pretty-printed ones (`{"k": "v", "n": 1}`) read the same.
-pub fn parse_flat_object(s: &str) -> Result<Vec<(String, String)>, String> {
+/// pretty-printed ones (`{"k": "v", "n": 1}`) read the same. Record
+/// parsers read through [`Fields`].
+fn parse_flat_object(s: &str) -> Result<Vec<(String, String)>, String> {
     let mut chars = s.trim().chars().peekable();
     let mut fields = Vec::new();
     if chars.next() != Some('{') {

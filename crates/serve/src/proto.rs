@@ -28,18 +28,25 @@
 //!                                               serve: graceful self-drain)
 //! ```
 //!
-//! Responses (`"status"` selects the variant). An `answer` carries the
-//! session verdict, its degradation provenance and the witness points;
-//! cache hits return the stored bytes, so responses for one cache key
-//! are byte-identical no matter which client asks or when.
+//! Responses (`"status"` selects the variant). An `answer` is
+//! `{"status":"answer",` + [`Answer::encode_fields`] + `}`: the session
+//! verdict, its degradation provenance, the required times it ran
+//! against and the witness points. Cache hits return the stored bytes,
+//! so responses for one cache key are byte-identical no matter which
+//! client asks or when. The server's cone cache stores each cone
+//! analysis as its own `answer` (or `error`) frame and reads it back
+//! with [`Response::parse`].
 
 use std::io::{self, Read, Write};
 
 use xrta_chi::EngineKind;
 use xrta_core::Verdict;
 use xrta_robust::jsonflat::{escape, Fields};
-use xrta_timing::tokens::{encode_points, encode_times, parse_points, parse_times};
+use xrta_timing::tokens::{encode_times, parse_times};
 use xrta_timing::Time;
+
+/// The payload of an `answer` response, shared with the session ladder.
+pub use xrta_core::Answer;
 
 use crate::stats::StatsSnapshot;
 
@@ -155,31 +162,6 @@ pub enum Request {
         /// The backend address being quiesced, `host:port`.
         shard: String,
     },
-}
-
-/// The analysis payload of an `answer` response.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Answer {
-    /// Rung the client asked for.
-    pub requested: Verdict,
-    /// Rung that actually answered (lower when degraded).
-    pub verdict: Verdict,
-    /// Whether the answer beats the topological requirement anywhere.
-    pub nontrivial: bool,
-    /// Output required-time vector the analysis ran against.
-    pub req: Vec<Time>,
-    /// Input-side witness points (see [`xrta_core::AnswerDigest`]).
-    pub points: Vec<Vec<Time>>,
-    /// Budget-exhaustion reason behind a degraded verdict, empty
-    /// otherwise.
-    pub degraded_reason: String,
-}
-
-impl Answer {
-    /// Did the server answer below the requested rung?
-    pub fn degraded(&self) -> bool {
-        self.requested != self.verdict
-    }
 }
 
 /// Why admission control shed a request.
@@ -327,18 +309,7 @@ impl Response {
                 format!("{{\"status\":\"error\",\"error\":\"{}\"}}", escape(e))
             }
             Response::Stats(s) => s.encode(),
-            Response::Answer(a) => format!(
-                "{{\"status\":\"answer\",\"requested\":\"{}\",\"verdict\":\"{}\",\
-                 \"degraded\":{},\"nontrivial\":{},\"req\":\"{}\",\"points\":\"{}\",\
-                 \"degraded_reason\":\"{}\"}}",
-                a.requested,
-                a.verdict,
-                a.degraded(),
-                a.nontrivial,
-                encode_times(&a.req),
-                encode_points(&a.points),
-                escape(&a.degraded_reason),
-            ),
+            Response::Answer(a) => format!("{{\"status\":\"answer\",{}}}", a.encode_fields()),
         }
     }
 
@@ -360,14 +331,7 @@ impl Response {
             }),
             "error" => Ok(Response::Error(f.get("error")?.to_string())),
             "stats" => Ok(Response::Stats(StatsSnapshot::parse_fields(&f)?)),
-            "answer" => Ok(Response::Answer(Answer {
-                requested: f.get("requested")?.parse()?,
-                verdict: f.get("verdict")?.parse()?,
-                nontrivial: f.get_bool("nontrivial")?,
-                req: parse_times(f.get("req")?)?,
-                points: parse_points(f.get("points")?)?,
-                degraded_reason: f.get("degraded_reason")?.to_string(),
-            })),
+            "answer" => Ok(Response::Answer(Answer::from_fields(&f)?)),
             other => Err(format!("unknown status {other:?}")),
         }
     }
@@ -455,6 +419,28 @@ mod tests {
             let text = resp.encode();
             assert_eq!(Response::parse(&text).unwrap(), resp, "{text}");
         }
+    }
+
+    /// The `answer` frame is what caches, routers and clients store and
+    /// compare byte for byte, so its exact bytes are pinned here.
+    #[test]
+    fn answer_frame_bytes_are_pinned() {
+        let frame = Response::Answer(Answer {
+            requested: Verdict::Exact,
+            verdict: Verdict::Approx2,
+            nontrivial: true,
+            req: vec![Time::INF, Time::new(7)],
+            points: vec![
+                vec![Time::NEG_INF, Time::new(3)],
+                vec![Time::new(-2), Time::INF],
+            ],
+            degraded_reason: "budget \"node\" at C:\\tmp".to_string(),
+        })
+        .encode();
+        assert_eq!(
+            frame,
+            r#"{"status":"answer","requested":"exact","verdict":"approx2","degraded":true,"nontrivial":true,"req":"INF 7","points":"-INF 3|-2 INF","degraded_reason":"budget \"node\" at C:\\tmp"}"#
+        );
     }
 
     #[test]

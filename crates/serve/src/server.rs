@@ -11,8 +11,9 @@
 //!   and tries to enqueue analyze jobs, shedding `busy` when the
 //!   bounded queue is full;
 //! * **worker threads** pop jobs, consult the [`Coordinator`] (cache
-//!   hit / single-flight leader / follower), run leaders' analyses via
-//!   [`run_with_fallback`] under policy-clamped budgets, and reply.
+//!   hit / single-flight leader / follower), run leaders' analyses
+//!   under policy-clamped budgets — a whole-net [`run_with_fallback`]
+//!   session for `analyze`, the per-cone loop for `delta` — and reply.
 //!
 //! Shutdown — from a `shutdown` request, [`ServerHandle::shutdown`],
 //! or the external cancel flag (the CLI's `--cancel-file`) — drains:
@@ -31,13 +32,11 @@ use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use xrta_core::cone::{analyze_cone, slice_cones, splice, ConeVerdict};
+use xrta_core::cone::{analyze_cone, slice_cones, splice};
 use xrta_core::session::{run_with_fallback, SessionAnswer, SessionOptions};
-use xrta_core::{Approx2Options, Budget, Verdict};
+use xrta_core::{AnalysisError, Approx2Options, Budget};
 use xrta_network::Network;
 use xrta_robust::failpoint;
-use xrta_robust::jsonflat::{escape, Fields};
-use xrta_timing::tokens::{encode_points, parse_points};
 use xrta_timing::{topological_delays, Time, UnitDelay};
 
 use xrta_robust::mem::{self, Pressure, ScopedCharge, Subsystem};
@@ -542,15 +541,12 @@ fn worker_loop(shared: &Arc<Shared>) {
 /// Handles one admitted job end-to-end: cache, single-flight, compute.
 fn serve_job(shared: &Arc<Shared>, job: Job) {
     let a = &job.request;
-    let (timeout, node_limit, sat_conflicts, mem_limit) = clamp_budgets(&shared.options, a);
-    // Budgets shape the degradation rung, so the *effective* budgets
-    // are part of the identity of the answer.
-    let budget_tag = format!("{}/{}/{}", timeout.as_millis(), node_limit, sat_conflicts);
+    let limits = clamp_budgets(&shared.options, a);
     // Delta requests live in their own key domain: the whole-request
     // flight is deduplicated but never stored — reuse happens at cone
-    // granularity inside `compute_delta`.
+    // granularity inside `analyze_cones`.
     let domain = if job.delta { "delta" } else { "unit" };
-    let key = CacheKey::compute(&a.netlist, domain, &a.req, a.algo, a.engine, &budget_tag);
+    let key = CacheKey::compute(&a.netlist, domain, &a.req, a.algo, a.engine, &limits.tag);
 
     let bytes = match shared.coordinator.dispatch(key) {
         Dispatch::Hit(bytes, tier) => {
@@ -565,19 +561,18 @@ fn serve_job(shared: &Arc<Shared>, job: Job) {
                 .encode()
                 .into_bytes()
         }),
-        Dispatch::Lead if job.delta => {
+        Dispatch::Lead => {
             // Cone hit/miss counters tell the delta story; the
             // whole-request miss counter stays an analyze-cache fact.
-            let response = compute_delta(shared, a, timeout, node_limit, sat_conflicts, mem_limit);
-            let bytes = response.encode().into_bytes();
-            shared.coordinator.complete(key, &bytes, false);
-            bytes
-        }
-        Dispatch::Lead => {
-            shared.stats.misses.fetch_add(1, Ordering::Relaxed);
-            let response = compute(shared, a, timeout, node_limit, sat_conflicts, mem_limit);
-            let cacheable = matches!(response, Response::Answer(_));
-            let bytes = response.encode().into_bytes();
+            if !job.delta {
+                shared.stats.misses.fetch_add(1, Ordering::Relaxed);
+            }
+            let answer = lead(shared, a, &limits, job.delta);
+            let cacheable = !job.delta && answer.is_ok();
+            let bytes = answer
+                .map_or_else(Response::Error, Response::Answer)
+                .encode()
+                .into_bytes();
             shared.coordinator.complete(key, &bytes, cacheable);
             bytes
         }
@@ -602,13 +597,24 @@ fn serve_job(shared: &Arc<Shared>, job: Job) {
     let _ = job.reply.send(bytes);
 }
 
+/// One request's budgets after the server policy clamp, and `tag`, the
+/// time, node and conflict budgets as one cache-key component: they
+/// shape the degradation rung, so they are part of an answer's identity.
+struct Limits {
+    timeout: Duration,
+    node_limit: u64,
+    sat_conflicts: u64,
+    mem_limit: Option<u64>,
+    tag: String,
+}
+
 /// Applies the server policy: a request may wish for less than the
 /// caps, never more; absent wishes get the caps.
 ///
 /// The memory clamp folds into the budget but *not* the cache key:
 /// a memory budget changes when an analysis degrades, never what the
 /// exact verdict is, and verdict provenance already records the rung.
-fn clamp_budgets(options: &ServeOptions, a: &AnalyzeRequest) -> (Duration, u64, u64, Option<u64>) {
+fn clamp_budgets(options: &ServeOptions, a: &AnalyzeRequest) -> Limits {
     let timeout = a
         .timeout_ms
         .map(Duration::from_millis)
@@ -626,44 +632,44 @@ fn clamp_budgets(options: &ServeOptions, a: &AnalyzeRequest) -> (Duration, u64, 
         (Some(wish), Some(cap)) => Some(wish.min(cap)),
         (wish, cap) => wish.or(cap),
     };
-    (timeout, node_limit, sat_conflicts, mem_limit)
+    Limits {
+        timeout,
+        node_limit,
+        sat_conflicts,
+        mem_limit,
+        tag: format!("{}/{}/{}", timeout.as_millis(), node_limit, sat_conflicts),
+    }
 }
 
-/// Runs one analysis (the single-flight leader's job): parse, budget,
-/// session, digest. Panics are contained and reported as errors.
-fn compute(
+/// Runs one single-flight leader's analysis: parse, widen `req`, then
+/// the whole-net session (`analyze`) or the cone loop (`delta`). The
+/// error is the text of the `error` frame the client receives.
+fn lead(
     shared: &Arc<Shared>,
     a: &AnalyzeRequest,
-    timeout: Duration,
-    node_limit: u64,
-    sat_conflicts: u64,
-    mem_limit: Option<u64>,
-) -> Response {
-    match failpoint::eval("serve::analyze") {
-        Some(failpoint::Outcome::ReturnError) => {
-            return Response::Error("failpoint serve::analyze: injected error".to_string());
+    limits: &Limits,
+    delta: bool,
+) -> Result<Answer, String> {
+    if !delta {
+        if let Some(outcome) = failpoint::eval("serve::analyze") {
+            let what = match outcome {
+                failpoint::Outcome::ReturnError => "error",
+                failpoint::Outcome::Exhausted => "exhaustion",
+            };
+            return Err(format!("failpoint serve::analyze: injected {what}"));
         }
-        Some(failpoint::Outcome::Exhausted) => {
-            return Response::Error("failpoint serve::analyze: injected exhaustion".to_string());
-        }
-        _ => {}
     }
-    let net = match xrta_network::parse_netlist(&a.name, &a.netlist) {
-        Ok(net) => net,
-        Err(e) => return Response::Error(format!("netlist: {e}")),
-    };
-    let req = match widen_req(&net, &a.req) {
-        Ok(req) => req,
-        Err(resp) => return resp,
-    };
-    let budget = Budget::unlimited()
-        .with_node_limit(Some(node_limit as usize))
-        .with_sat_conflicts(Some(sat_conflicts))
-        .with_mem_limit(mem_limit)
-        .with_cancel_flag(Arc::clone(&shared.abort));
+    let net =
+        xrta_network::parse_netlist(&a.name, &a.netlist).map_err(|e| format!("netlist: {e}"))?;
+    let req = widen_req(&net, &a.req)?;
+    // Built here, on the leader path only, so cache hits do no new work.
     let opts = SessionOptions {
-        budget,
-        timeout: Some(timeout),
+        budget: Budget::unlimited()
+            .with_node_limit(Some(limits.node_limit as usize))
+            .with_sat_conflicts(Some(limits.sat_conflicts))
+            .with_mem_limit(limits.mem_limit)
+            .with_cancel_flag(Arc::clone(&shared.abort)),
+        timeout: Some(limits.timeout),
         fallback: true,
         approx2: Approx2Options {
             engine: a.engine,
@@ -671,43 +677,42 @@ fn compute(
         },
         ..SessionOptions::default()
     };
-    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+    if delta {
+        return analyze_cones(shared, a, &limits.tag, &opts, &net, &req);
+    }
+    let mut report = contained(shared, || {
         run_with_fallback(&net, &UnitDelay, &req, a.algo, &opts)
-    }));
+    })?;
+    if let SessionAnswer::Approx2(r) = &report.answer {
+        let add = |c: &AtomicU64, v: usize| {
+            c.fetch_add(v as u64, Ordering::Relaxed);
+        };
+        add(&shared.stats.oracle_steals, r.steals);
+        add(&shared.stats.oracle_contention, r.shard_contention);
+        add(&shared.stats.oracle_batches, r.batches);
+    }
+    Ok(report.digest())
+}
+
+/// Runs one analysis with panics contained, counting it as a
+/// computation.
+fn contained<T>(
+    shared: &Shared,
+    analysis: impl FnOnce() -> Result<T, AnalysisError>,
+) -> Result<T, String> {
+    let outcome = std::panic::catch_unwind(AssertUnwindSafe(analysis));
     shared.stats.computations.fetch_add(1, Ordering::Relaxed);
     match outcome {
-        Ok(Ok(mut report)) => {
-            if let SessionAnswer::Approx2(r) = &report.answer {
-                let add = |c: &AtomicU64, v: usize| {
-                    c.fetch_add(v as u64, Ordering::Relaxed);
-                };
-                add(&shared.stats.oracle_steals, r.steals);
-                add(&shared.stats.oracle_contention, r.shard_contention);
-                add(&shared.stats.oracle_batches, r.batches);
-            }
-            let digest = report.digest();
-            Response::Answer(Answer {
-                requested: report.requested,
-                verdict: report.verdict,
-                nontrivial: digest.nontrivial,
-                req,
-                points: digest.points,
-                degraded_reason: report
-                    .exhaustion_reason()
-                    .map(|e| e.to_string())
-                    .unwrap_or_default(),
-            })
-        }
-        Ok(Err(e)) => Response::Error(format!("analysis failed: {e}")),
-        Err(_) => Response::Error("analysis panicked".to_string()),
+        Ok(Ok(v)) => Ok(v),
+        Ok(Err(e)) => Err(format!("analysis failed: {e}")),
+        Err(_) => Err("analysis panicked".to_string()),
     }
 }
 
 /// Stretches a request's `req` vector onto the netlist's outputs:
 /// empty → the topological delays (the paper's protocol), one value →
 /// broadcast, exact width → as-is.
-#[allow(clippy::result_large_err)]
-fn widen_req(net: &Network, req: &[Time]) -> Result<Vec<Time>, Response> {
+fn widen_req(net: &Network, req: &[Time]) -> Result<Vec<Time>, String> {
     if req.is_empty() {
         Ok(topological_delays(net, &UnitDelay))
     } else if req.len() == 1 {
@@ -715,75 +720,37 @@ fn widen_req(net: &Network, req: &[Time]) -> Result<Vec<Time>, Response> {
     } else if req.len() == net.outputs().len() {
         Ok(req.to_vec())
     } else {
-        Err(Response::Error(format!(
+        Err(format!(
             "req has {} times but the netlist has {} outputs",
             req.len(),
             net.outputs().len()
-        )))
+        ))
     }
 }
 
-/// Wire form of one cached cone verdict (a flat-JSON payload in the
-/// same dialect as the protocol, stored in the two-tier cache under
-/// the cone's fingerprint-derived key).
-fn encode_cone(v: &ConeVerdict) -> Vec<u8> {
-    format!(
-        "{{\"cone\":\"ok\",\"verdict\":\"{}\",\"nontrivial\":{},\"points\":\"{}\",\
-         \"reason\":\"{}\"}}",
-        v.verdict,
-        v.nontrivial,
-        encode_points(&v.points),
-        escape(&v.degraded_reason),
-    )
-    .into_bytes()
-}
+/// Cache-key domain of cone entries. Each entry is the cone analysis's
+/// own `answer` frame (an `error` frame completes a failed flight but
+/// is never stored). Entries of the older `{"cone":…}` encoding were
+/// keyed under the domain `"cone"`, so a cache directory holding them
+/// never decodes one.
+const CONE_DOMAIN: &str = "cone-answer";
 
-/// Wire form of a failed cone analysis — completed to followers so a
-/// failing leader never strands a flight, but never cached.
-fn encode_cone_error(e: &str) -> Vec<u8> {
-    format!("{{\"cone\":\"error\",\"error\":\"{}\"}}", escape(e)).into_bytes()
-}
-
-fn decode_cone(bytes: &[u8]) -> Result<ConeVerdict, String> {
-    let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
-    let f = Fields::parse(text)?;
-    match f.get("cone")? {
-        "ok" => Ok(ConeVerdict {
-            verdict: f.get("verdict")?.parse::<Verdict>()?,
-            nontrivial: f.get_bool("nontrivial")?,
-            points: parse_points(f.get("points")?)?,
-            degraded_reason: f.get("reason")?.to_string(),
-        }),
-        "error" => Err(f.get("error")?.to_string()),
-        other => Err(format!("unknown cone payload {other:?}")),
-    }
-}
-
-/// Serves one `delta` request cone-incrementally: slice the netlist
-/// into per-output fanin cones, fetch every cone verdict the cache
-/// already holds (from *any* prior request — the fingerprint is stable
-/// under renaming and PI reordering, so an edited netlist re-keys only
-/// its dirty cones), analyse the misses through the governed ladder,
-/// and splice. Cone computations ride the same single-flight
-/// coordinator, so concurrent deltas over shared cones deduplicate.
-fn compute_delta(
+/// The cone loop of a `delta` request: slice the netlist into
+/// per-output fanin cones, fetch every cone answer the cache already
+/// holds (from *any* prior request — the fingerprint is stable under
+/// renaming and PI reordering, so an edited netlist re-keys only its
+/// dirty cones), analyse the misses through the governed ladder, and
+/// splice. Cone computations ride the same single-flight coordinator,
+/// so concurrent deltas over shared cones deduplicate.
+fn analyze_cones(
     shared: &Arc<Shared>,
     a: &AnalyzeRequest,
-    timeout: Duration,
-    node_limit: u64,
-    sat_conflicts: u64,
-    mem_limit: Option<u64>,
-) -> Response {
-    let net = match xrta_network::parse_netlist(&a.name, &a.netlist) {
-        Ok(net) => net,
-        Err(e) => return Response::Error(format!("netlist: {e}")),
-    };
-    let req = match widen_req(&net, &a.req) {
-        Ok(req) => req,
-        Err(resp) => return resp,
-    };
-    let budget_tag = format!("{}/{}/{}", timeout.as_millis(), node_limit, sat_conflicts);
-    let slices = slice_cones(&net, &UnitDelay, &req);
+    budget_tag: &str,
+    opts: &SessionOptions,
+    net: &Network,
+    req: &[Time],
+) -> Result<Answer, String> {
+    let slices = slice_cones(net, &UnitDelay, req);
     // The sliced cones are this request's dominant transient
     // allocation; charging their footprint up front lets the meter
     // shed concurrent deltas before the per-cone analyses pile on.
@@ -798,64 +765,41 @@ fn compute_delta(
         // budgets shape the degradation rung, so they key too.
         let key = CacheKey::compute(
             &slice.descriptor,
-            "cone",
+            CONE_DOMAIN,
             &[slice.req],
             a.algo,
             a.engine,
-            &budget_tag,
+            budget_tag,
         );
-        let outcome = match shared.coordinator.dispatch(key) {
+        let frame = match shared.coordinator.dispatch(key) {
             Dispatch::Hit(bytes, _) => {
                 shared.stats.cone_hits.fetch_add(1, Ordering::Relaxed);
                 reused += 1;
-                decode_cone(&bytes)
+                Response::parse(&String::from_utf8_lossy(&bytes))?
             }
             Dispatch::Follow(rx) => {
                 shared.stats.cone_hits.fetch_add(1, Ordering::Relaxed);
                 reused += 1;
-                match rx.recv() {
-                    Ok(bytes) => decode_cone(&bytes),
-                    Err(_) => Err("leader dropped the cone flight".to_string()),
-                }
+                let bytes = rx
+                    .recv()
+                    .map_err(|_| "leader dropped the cone flight".to_string())?;
+                Response::parse(&String::from_utf8_lossy(&bytes))?
             }
             Dispatch::Lead => {
                 shared.stats.cone_misses.fetch_add(1, Ordering::Relaxed);
-                let budget = Budget::unlimited()
-                    .with_node_limit(Some(node_limit as usize))
-                    .with_sat_conflicts(Some(sat_conflicts))
-                    .with_mem_limit(mem_limit)
-                    .with_cancel_flag(Arc::clone(&shared.abort));
-                let opts = SessionOptions {
-                    budget,
-                    timeout: Some(timeout),
-                    fallback: true,
-                    approx2: Approx2Options {
-                        engine: a.engine,
-                        ..Approx2Options::default()
-                    },
-                    ..SessionOptions::default()
-                };
-                let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    analyze_cone(slice, a.algo, &opts)
-                }));
-                shared.stats.computations.fetch_add(1, Ordering::Relaxed);
-                let result = match outcome {
-                    Ok(Ok(v)) => Ok(v),
-                    Ok(Err(e)) => Err(format!("analysis failed: {e}")),
-                    Err(_) => Err("analysis panicked".to_string()),
-                };
-                match &result {
-                    Ok(v) => shared.coordinator.complete(key, &encode_cone(v), true),
-                    Err(e) => shared
-                        .coordinator
-                        .complete(key, &encode_cone_error(e), false),
-                };
-                result
+                let frame = contained(shared, || analyze_cone(slice, a.algo, opts))
+                    .map_or_else(Response::Error, Response::Answer);
+                let cacheable = matches!(frame, Response::Answer(_));
+                shared
+                    .coordinator
+                    .complete(key, frame.encode().as_bytes(), cacheable);
+                frame
             }
         };
-        match outcome {
-            Ok(v) => verdicts.push(v),
-            Err(e) => return Response::Error(e),
+        match frame {
+            Response::Answer(v) => verdicts.push(v),
+            Response::Error(e) => return Err(e),
+            other => return Err(format!("unexpected cone entry {other:?}")),
         }
     }
     // Splices count only reused cones that actually landed in a
@@ -864,15 +808,7 @@ fn compute_delta(
         .stats
         .cone_splices
         .fetch_add(reused, Ordering::Relaxed);
-    let report = splice(&net, &UnitDelay, &req, a.algo, &slices, &verdicts);
-    Response::Answer(Answer {
-        requested: report.requested,
-        verdict: report.verdict,
-        nontrivial: report.nontrivial,
-        req,
-        points: report.points,
-        degraded_reason: report.degraded_reason,
-    })
+    Ok(splice(net, &UnitDelay, req, a.algo, &slices, &verdicts))
 }
 
 /// A dedicated rendering of the verdict ladder position, used by the
@@ -943,6 +879,21 @@ mod tests {
         assert_eq!(final_stats.answered, 2);
     }
 
+    /// Two outputs with independent cones.
+    const TWO_CONES: &str = "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(z1)\nOUTPUT(z2)\n\
+                             z1 = AND(a, b)\nz2 = OR(b, c)\n";
+
+    fn eco_request(netlist: &str) -> AnalyzeRequest {
+        AnalyzeRequest {
+            name: "eco.bench".to_string(),
+            netlist: netlist.to_string(),
+            algo: Verdict::Approx2,
+            engine: EngineKind::Bdd,
+            req: vec![Time::new(9)],
+            ..AnalyzeRequest::default()
+        }
+    }
+
     #[test]
     fn delta_reuses_cones_and_repeats_byte_identically() {
         let handle = start(ServeOptions {
@@ -951,21 +902,11 @@ mod tests {
         })
         .unwrap();
         let addr = handle.addr();
-        let delta = |netlist: &str| {
-            Request::Delta(AnalyzeRequest {
-                name: "eco.bench".to_string(),
-                netlist: netlist.to_string(),
-                algo: Verdict::Approx2,
-                engine: EngineKind::Bdd,
-                req: vec![Time::new(9)],
-                ..AnalyzeRequest::default()
-            })
-        };
-        // Two independent outputs; edit only z2's cone.
-        let base = "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(z1)\nOUTPUT(z2)\n\
-                    z1 = AND(a, b)\nz2 = OR(b, c)\n";
+        let delta = |netlist: &str| Request::Delta(eco_request(netlist));
+        // Edit only z2's cone.
         let edited = "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(z1)\nOUTPUT(z2)\n\
                       z1 = AND(a, b)\nt = BUF(c)\nz2 = OR(b, t)\n";
+        let base = TWO_CONES;
 
         let cold = roundtrip(addr, &delta(base)).unwrap();
         assert!(matches!(cold, Response::Answer(_)), "{cold:?}");
@@ -988,6 +929,50 @@ mod tests {
 
         handle.shutdown();
         handle.join();
+    }
+
+    /// Before cone entries were `answer` frames, the cache stored them
+    /// as `{"cone":"ok",…}` under `"cone"`-domain keys. A cache
+    /// directory holding such entries must not break `delta`: the
+    /// current key domain never looks them up.
+    #[test]
+    fn delta_skips_cone_entries_of_the_older_encoding() {
+        let dir = std::env::temp_dir().join(format!("xrta_serve_old_cones_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let options = ServeOptions {
+            cache_dir: Some(dir.clone()),
+            ..ServeOptions::default()
+        };
+        let request = eco_request(TWO_CONES);
+        let net = xrta_network::parse_netlist(&request.name, &request.netlist).unwrap();
+        let req = widen_req(&net, &request.req).unwrap();
+        let tag = clamp_budgets(&options, &request).tag;
+        let mut older = ResultCache::open(0, Some(dir.clone())).unwrap();
+        for slice in slice_cones(&net, &UnitDelay, &req) {
+            let key = CacheKey::compute(
+                &slice.descriptor,
+                "cone",
+                &[slice.req],
+                request.algo,
+                request.engine,
+                &tag,
+            );
+            let entry =
+                r#"{"cone":"ok","verdict":"approx2","nontrivial":false,"points":"","reason":""}"#;
+            older.insert(key, entry.as_bytes().to_vec());
+        }
+        assert_eq!(older.disk_entries(), 2);
+        drop(older);
+
+        let handle = start(options).unwrap();
+        assert_eq!(handle.torn_discarded(), 0, "the planted entries are whole");
+        let resp = roundtrip(handle.addr(), &Request::Delta(request)).unwrap();
+        assert!(matches!(resp, Response::Answer(_)), "{resp:?}");
+        let snap = handle.stats();
+        assert_eq!((snap.cone_hits, snap.cone_misses), (0, 2));
+        handle.shutdown();
+        handle.join();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

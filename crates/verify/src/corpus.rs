@@ -26,6 +26,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use xrta_network::{parse_bench, write_bench};
+use xrta_timing::tokens::{parse_time_token, time_token};
 use xrta_timing::{topological_delays, TableDelay, Time, UnitDelay};
 
 use crate::shrink::TestCase;
@@ -53,27 +54,6 @@ impl CorpusEntry {
             }
         }
         model
-    }
-}
-
-fn time_token(t: Time) -> String {
-    if t.is_inf() {
-        "INF".to_string()
-    } else if t.is_neg_inf() {
-        "-INF".to_string()
-    } else {
-        t.ticks().to_string()
-    }
-}
-
-fn parse_time_token(tok: &str) -> Result<Time, String> {
-    match tok {
-        "INF" => Ok(Time::INF),
-        "-INF" => Ok(Time::NEG_INF),
-        _ => tok
-            .parse::<i64>()
-            .map(Time::new)
-            .map_err(|e| format!("bad time {tok:?}: {e}")),
     }
 }
 

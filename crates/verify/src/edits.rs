@@ -7,8 +7,8 @@
 //! state*. This module attacks that claim the way an ECO flow would —
 //! by mutating a netlist through a sequence of small engineering
 //! changes and checking, after every edit, that a warm cone cache
-//! carried across the whole sequence renders the byte-identical report
-//! a cold from-scratch analysis produces.
+//! carried across the whole sequence splices an answer whose encoding
+//! is byte-identical to the one a cold from-scratch analysis produces.
 //!
 //! Edits are *name-keyed*, not id-keyed: an [`EditOp`] names the node
 //! it touches, and an op whose node has since disappeared (or whose
@@ -19,8 +19,8 @@
 
 use std::collections::HashMap;
 
-use xrta_core::cone::{analyze_cone, slice_cones, splice, ConeVerdict};
-use xrta_core::{Budget, SessionOptions, Verdict};
+use xrta_core::cone::{analyze_cone, slice_cones, splice};
+use xrta_core::{Answer, Budget, SessionOptions, Verdict};
 use xrta_network::{GateKind, Network, NodeFunc, NodeId};
 use xrta_rng::{mix64, Rng};
 
@@ -409,11 +409,12 @@ fn differential_options() -> SessionOptions {
 /// Walks a state sequence with a warm fingerprint-keyed cone cache
 /// carried across states (the incremental path) and a cold fresh
 /// analysis per state (the oracle). Returns the index of the first
-/// state whose warm-spliced report differs byte-for-byte from the cold
-/// one, or `None` when the whole sequence agrees.
+/// state whose warm-spliced answer differs from the cold one in its
+/// wire encoding ([`Answer::encode_fields`], the bytes a `delta`
+/// response carries), or `None` when the whole sequence agrees.
 pub fn first_disagreement(states: &[CorpusEntry]) -> Option<usize> {
     let opts = differential_options();
-    let mut warm: HashMap<u128, ConeVerdict> = HashMap::new();
+    let mut warm: HashMap<u128, Answer> = HashMap::new();
     for (k, st) in states.iter().enumerate() {
         let model = st.delay_model();
         let net = &st.case.net;
@@ -431,9 +432,9 @@ pub fn first_disagreement(states: &[CorpusEntry]) -> Option<usize> {
             warm_verdicts.push(reused);
             cold_verdicts.push(cold);
         }
-        let w = splice(net, &model, req, Verdict::Approx2, &slices, &warm_verdicts).render();
-        let c = splice(net, &model, req, Verdict::Approx2, &slices, &cold_verdicts).render();
-        if w != c {
+        let w = splice(net, &model, req, Verdict::Approx2, &slices, &warm_verdicts);
+        let c = splice(net, &model, req, Verdict::Approx2, &slices, &cold_verdicts);
+        if w.encode_fields() != c.encode_fields() {
             return Some(k);
         }
     }

@@ -20,6 +20,21 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The benchmark is a package of its own that compiles against the
+# workspace crates' public items, so an API change must break here,
+# not first when the benchmark runs. Building it may add dependency
+# edges to its lock file; refreshing that lock is a change to the
+# benchmark itself, so the step restores it, from a trap so that an
+# interrupted or failed check restores it too.
+echo "==> cargo check benchmark/"
+bench_lock="$(mktemp)"
+cp benchmark/Cargo.lock "$bench_lock"
+restore_bench_lock() { cp "$bench_lock" benchmark/Cargo.lock; rm -f "$bench_lock"; }
+trap restore_bench_lock EXIT
+cargo check --offline --manifest-path benchmark/Cargo.toml
+restore_bench_lock
+trap - EXIT
+
 echo "==> cargo build --release --workspace"
 # --workspace: the scaling gate below runs crates/bench's table2
 # binary, which a root-package build would leave stale.

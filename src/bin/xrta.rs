@@ -67,7 +67,7 @@ use std::sync::Arc;
 
 use xrta::batch::{run_batch, BatchConfig, BatchError, BatchOptions};
 use xrta::cli::{cancel_flag_for, parse_args, render_usage, required_vector, Args, DEFAULT_SEED};
-use xrta::core::{failpoint, macro_model, report};
+use xrta::core::{failpoint, macro_model, report, Answer};
 use xrta::network::{load_network_file, stats};
 use xrta::prelude::*;
 use xrta::resynth;
@@ -186,7 +186,10 @@ fn run() -> Result<ExitCode, Failure> {
             // with the reason on stderr so stdout stays valid JSON).
             let slack_json = args.report_path.as_deref() == Some("slack");
             if slack_json {
-                print!("{}", render_slack_json(&net, &req, &session, args.engine));
+                print!(
+                    "{}",
+                    render_slack_json(&net, &session.digest(), args.engine)
+                );
             } else {
                 render_session_human(&net, &mut session);
             }
@@ -284,14 +287,13 @@ fn render_session_human(net: &Network, session: &mut SessionReport) {
 }
 
 /// A [`Time`] as a JSON value: finite ticks as a number, the infinities
-/// as the corpus string tokens.
+/// as their token strings.
 fn json_time(t: Time) -> String {
-    if t.is_inf() {
-        "\"INF\"".to_string()
-    } else if t.is_neg_inf() {
-        "\"-INF\"".to_string()
+    let token = xrta::timing::tokens::time_token(t);
+    if t.is_finite() {
+        token
     } else {
-        t.ticks().to_string()
+        format!("\"{token}\"")
     }
 }
 
@@ -299,28 +301,19 @@ fn json_time(t: Time) -> String {
 /// session verdict, per-input required-time points, per-node
 /// topological arrival/required/slack, and per-output true
 /// (false-path-aware) arrival and slack.
-fn render_slack_json(
-    net: &Network,
-    req: &[Time],
-    session: &SessionReport,
-    engine: EngineKind,
-) -> String {
+fn render_slack_json(net: &Network, answer: &Answer, engine: EngineKind) -> String {
     use std::fmt::Write as _;
     let esc = xrta::robust::jsonflat::escape;
+    let req = &answer.req;
     let zeros = vec![Time::ZERO; net.inputs().len()];
     let topo = analyze(net, &UnitDelay, &zeros, req);
     let ft = FunctionalTiming::new(net, &UnitDelay, zeros.clone(), engine);
     let true_arr = ft.true_arrivals();
-    let points: Vec<Vec<Time>> = match &session.answer {
-        SessionAnswer::Approx2(r) => r.maximal.clone(),
-        SessionAnswer::Topological(v) => vec![v.clone()],
-        _ => Vec::new(),
-    };
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"netlist\": \"{}\",", esc(net.name()));
-    let _ = writeln!(out, "  \"requested\": \"{}\",", session.requested);
-    let _ = writeln!(out, "  \"verdict\": \"{}\",", session.verdict);
-    let _ = writeln!(out, "  \"degraded\": {},", session.degraded());
+    let _ = writeln!(out, "  \"requested\": \"{}\",", answer.requested);
+    let _ = writeln!(out, "  \"verdict\": \"{}\",", answer.verdict);
+    let _ = writeln!(out, "  \"degraded\": {},", answer.degraded());
     let _ = writeln!(
         out,
         "  \"required\": [{}],",
@@ -334,7 +327,7 @@ fn render_slack_json(
         .iter()
         .enumerate()
         .map(|(pos, &pi)| {
-            let pts: Vec<String> = points.iter().map(|p| json_time(p[pos])).collect();
+            let pts: Vec<String> = answer.points.iter().map(|p| json_time(p[pos])).collect();
             format!(
                 "    {{\"name\": \"{}\", \"topological_required\": {}, \"points\": [{}]}}",
                 esc(&net.node(pi).name),
@@ -615,7 +608,7 @@ fn run_batch_cmd(
     };
     let summary = run_batch(&cfg).map_err(|e| match e {
         BatchError::Setup(msg) => Failure::Usage(msg),
-        BatchError::Journal(msg) => Failure::Fatal(msg),
+        e @ BatchError::Journal(_) => Failure::Fatal(e.to_string()),
     })?;
     println!(
         "batch: {} jobs | {} done | {} failed | {} shed | {} pending",

@@ -262,16 +262,16 @@ fn chaos_batch_survives_faults_kills_and_tail_loss() {
     for ev in &events {
         let Event::Done(d) = ev else { continue };
         let net = &nets[&jobs[d.job].path];
-        for point in &d.points {
+        for point in &d.answer.points {
             assert_eq!(point.len(), net.inputs().len(), "job {}", d.job);
             if net.inputs().len() <= MAX_ORACLE_INPUTS {
                 assert!(
-                    point_safe(net, &UnitDelay, &d.req, point),
+                    point_safe(net, &UnitDelay, &d.answer.req, point),
                     "job {} ({}): unsafe point {:?} for req {:?}",
                     d.job,
                     jobs[d.job].path,
                     point,
-                    d.req
+                    d.answer.req
                 );
                 oracle_checked += 1;
             }
@@ -453,7 +453,7 @@ fn chaos_verdicts_match_the_fault_free_truth_where_completed() {
             .iter()
             .map(|r| Event::parse(r).unwrap())
             .find_map(|ev| match ev {
-                Event::Done(d) => Some(d),
+                Event::Done(d) => Some(d.answer),
                 _ => None,
             })
     };

@@ -339,3 +339,45 @@ fn reqtime_slack_report_emits_json() {
     assert!(text.contains("\"verdict\""), "{text}");
     assert!(text.contains("\"nodes\""), "{text}");
 }
+
+/// A journal whose `done` records predate `degraded`/`degraded_reason`
+/// is refused on `--resume` as a journal error (exit 1).
+#[test]
+fn batch_resume_refuses_a_journal_of_the_older_done_format() {
+    let dir = std::env::temp_dir().join(format!("xrta_cli_oldjournal_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let [manifest, journal, report] = ["m.txt", "m.journal", "m.report.json"].map(|f| dir.join(f));
+    let text = format!("{} algo=approx2\n", netlist("c17.bench"));
+    std::fs::write(&manifest, &text).expect("write manifest");
+    let crc = xrta::robust::fsio::crc32(text.as_bytes());
+    let mut j = xrta::robust::journal::Journal::create(&journal).expect("create journal");
+    for record in [
+        format!("{{\"event\":\"run\",\"jobs\":1,\"seed\":7,\"manifest_crc\":\"{crc:08x}\"}}"),
+        "{\"event\":\"start\",\"job\":0,\"attempt\":0}".to_string(),
+        "{\"event\":\"done\",\"job\":0,\"attempt\":0,\"requested\":\"approx2\",\
+         \"verdict\":\"approx2\",\"nontrivial\":false,\"req\":\"3 3\",\"points\":\"1 1 0 0 1\"}"
+            .to_string(),
+    ] {
+        j.append(&record).expect("append record");
+    }
+    drop(j);
+    let [m, jn, r] = [&manifest, &journal, &report].map(|p| p.to_str().expect("utf8 path"));
+    let args = [
+        "batch",
+        m,
+        "--journal",
+        jn,
+        "--report",
+        r,
+        "--seed",
+        "7",
+        "--resume",
+    ];
+    let (code, out) = xrta_code(&args);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(code, Some(1), "{out}");
+    assert!(
+        out.contains("xrta: batch journal: record missing \"degraded_reason\""),
+        "{out}"
+    );
+}
