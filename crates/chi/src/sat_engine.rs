@@ -6,6 +6,31 @@
 //! unsatisfiability of `¬χ̃_z^t`. One [`Solver`] instance persists across
 //! queries, so later queries reuse both the encoded χ nodes and the
 //! learnt clauses.
+//!
+//! ## The topological clamp
+//!
+//! Construction computes every node's topological arrival `arr(n)` once,
+//! under the engine's input arrivals ([`xrta_timing::arrival_times`]).
+//! At any `t ≥ arr(n)` the timed recursion is not expanded: `χ_{n,1}^t`
+//! is one memoised Tseitin literal `f_n` of the node's static function,
+//! `χ_{n,0}^t` is `¬f_n`, and "settled by `t`" is the constant true.
+//!
+//! The clamp is exact. By induction, every fanin `m` of `n` has
+//! `t − d_n ≥ arr(m)`, so its χ pair is `(f_m, ¬f_m)`. The primes of `n`
+//! cover its onset and the primes of its complement cover its offset,
+//! so the recursion's sums of products are `f_n` and `¬f_n`. Verdicts
+//! cannot change; only the CNF a query needs shrinks. Only what is
+//! still in flight at `t` stays timed, such as the fanout cone of a
+//! late input, and "settled by the topological arrival" is a constant
+//! instead of a χ¹ ∨ χ⁰ miter over the whole cone.
+//!
+//! A [`ChiSatEngine::new_varying`] engine counts its varying input at
+//! the **latest** of its values: the clamp must hold under every
+//! variant, and below that time the selector-guarded leaf stays.
+//!
+//! The AND/OR gate encoders fold constant operands, so the false
+//! literal of a not-yet-arrived leaf drops its product term instead of
+//! minting a variable and clauses for it.
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -14,7 +39,7 @@ use std::time::Instant;
 use xrta_bdd::FxHashMap;
 use xrta_network::{Network, NodeId};
 use xrta_sat::{Lit, SolveResult, Solver, StopReason};
-use xrta_timing::{DelayModel, Time};
+use xrta_timing::{arrival_times, DelayModel, Time};
 
 /// Incremental SAT-based stability checker for one network under fixed
 /// input arrival times — optionally with **one input's arrival varying**
@@ -25,10 +50,13 @@ pub struct ChiSatEngine {
     solver: Solver,
     /// One free variable per primary input (the input vector).
     input_lits: Vec<Lit>,
-    arrivals: Vec<Time>,
+    /// Topological arrival per node, the clamp threshold.
+    topo: Vec<Time>,
     delays: Vec<i64>,
     input_pos: Vec<Option<usize>>,
     chi_lit: FxHashMap<(u32, bool, Time), Lit>,
+    /// Memoized static-function literals `f_n`, per node.
+    static_lit: Vec<Option<Lit>>,
     /// Memoized "settled by t" literals, keyed by `(node, t)`.
     settled: FxHashMap<(u32, Time), Lit>,
     /// Bytes currently restated on the process meter's `ChiMemo`
@@ -93,10 +121,11 @@ impl ChiSatEngine {
         ChiSatEngine {
             solver,
             input_lits,
-            arrivals,
+            topo: arrival_times(net, model, &arrivals),
             delays,
             input_pos,
             chi_lit: FxHashMap::default(),
+            static_lit: vec![None; net.node_count()],
             settled: FxHashMap::default(),
             mem_charged: 0,
             const_true,
@@ -124,7 +153,8 @@ impl ChiSatEngine {
     /// selector literal per candidate value guards the leaf clauses, so
     /// variant `k` (arrival = `values[k]`) is chosen per query by
     /// assumptions in [`ChiSatEngine::check_stable_variant`]. The
-    /// `arrivals[pos]` entry is ignored. Everything the solver encodes
+    /// `arrivals[pos]` entry is ignored: the clamp counts the input at
+    /// the latest of `values`. Everything the solver encodes
     /// or learns is shared across all variants: guarded clauses are
     /// satisfied outright when their selector is negated, so learnt
     /// clauses remain implied by the CNF and stay sound for every
@@ -137,12 +167,13 @@ impl ChiSatEngine {
     pub fn new_varying<D: DelayModel>(
         net: &Network,
         model: &D,
-        arrivals: Vec<Time>,
+        mut arrivals: Vec<Time>,
         pos: usize,
         values: Vec<Time>,
     ) -> Self {
         assert!(pos < net.inputs().len(), "varying input out of range");
-        assert!(!values.is_empty(), "need at least one arrival variant");
+        let latest = values.iter().copied().max();
+        arrivals[pos] = latest.expect("need at least one arrival variant");
         let mut eng = ChiSatEngine::new(net, model, arrivals);
         let selectors = values
             .iter()
@@ -157,53 +188,78 @@ impl ChiSatEngine {
     }
 
     /// The literal encoding `χ_{node,value}^t`, building clauses on
-    /// demand.
+    /// demand. From the node's topological arrival on, this is its
+    /// static-function literal (negated for value 0).
     pub fn chi_lit(&mut self, net: &Network, node: NodeId, value: bool, t: Time) -> Lit {
+        if t >= self.topo[node.index()] {
+            let f = self.static_lit(net, node);
+            return if value { f } else { !f };
+        }
         let key = (node.index() as u32, value, t);
         if let Some(&l) = self.chi_lit.get(&key) {
             return l;
         }
-        let lit = if let Some(pos) = self.input_pos[node.index()] {
-            if self.varying.as_ref().is_some_and(|v| v.pos == pos) {
+        let lit = match self.input_pos[node.index()] {
+            Some(pos) if self.varying.as_ref().is_some_and(|v| v.pos == pos) => {
                 self.varying_leaf(pos, value, t)
-            } else if t >= self.arrivals[pos] {
-                if value {
-                    self.input_lits[pos]
-                } else {
-                    !self.input_lits[pos]
-                }
-            } else {
-                !self.const_true
             }
-        } else {
-            let n = net.node(node);
-            let primes = if value {
-                n.primes()
-            } else {
-                n.primes_of_complement()
-            };
-            let fanins = n.fanins.clone();
-            let t_in = t - self.delays[node.index()];
-            let mut terms: Vec<Lit> = Vec::with_capacity(primes.len());
-            for cube in primes {
-                let mut conj: Vec<Lit> = Vec::new();
-                for (i, &fanin) in fanins.iter().enumerate() {
-                    let bit = 1u32 << i;
-                    if cube.pos & bit != 0 {
-                        conj.push(self.chi_lit(net, fanin, true, t_in));
-                    } else if cube.neg & bit != 0 {
-                        conj.push(self.chi_lit(net, fanin, false, t_in));
-                    }
-                }
-                terms.push(self.and_lit(&conj));
+            // A fixed input before its arrival: settled at neither value.
+            Some(_) => !self.const_true,
+            None => {
+                let t_in = t - self.delays[node.index()];
+                self.cover_lit(net, node, value, t_in)
             }
-            self.or_lit(&terms)
         };
         self.chi_lit.insert(key, lit);
         if self.chi_lit.len().is_multiple_of(1024) {
             self.restate_memo();
         }
         lit
+    }
+
+    /// The memoized Tseitin literal `f_n` of `node`'s static function:
+    /// the input variable at a primary input, else the gate's onset
+    /// cover at its topological arrival, where every fanin has clamped
+    /// to its own static literal.
+    fn static_lit(&mut self, net: &Network, node: NodeId) -> Lit {
+        if let Some(l) = self.static_lit[node.index()] {
+            return l;
+        }
+        let l = match self.input_pos[node.index()] {
+            Some(pos) => self.input_lits[pos],
+            None => {
+                let t_in = self.topo[node.index()] - self.delays[node.index()];
+                self.cover_lit(net, node, true, t_in)
+            }
+        };
+        self.static_lit[node.index()] = Some(l);
+        l
+    }
+
+    /// The gate at `node` as a sum over its primes for `value` (its
+    /// complement's primes for 0), each a product of fanin χ literals
+    /// at `t_in`.
+    fn cover_lit(&mut self, net: &Network, node: NodeId, value: bool, t_in: Time) -> Lit {
+        let n = net.node(node);
+        let primes = if value {
+            n.primes()
+        } else {
+            n.primes_of_complement()
+        };
+        let mut terms: Vec<Lit> = Vec::with_capacity(primes.len());
+        for cube in primes {
+            let mut conj: Vec<Lit> = Vec::new();
+            for (i, &fanin) in n.fanins.iter().enumerate() {
+                let bit = 1u32 << i;
+                if cube.pos & bit != 0 {
+                    conj.push(self.chi_lit(net, fanin, true, t_in));
+                } else if cube.neg & bit != 0 {
+                    conj.push(self.chi_lit(net, fanin, false, t_in));
+                }
+            }
+            terms.push(self.and_lit(&conj));
+        }
+        self.or_lit(&terms)
     }
 
     /// The leaf literal for the varying input under selector guards:
@@ -229,8 +285,12 @@ impl ChiSatEngine {
         leaf
     }
 
-    /// The memoized "`node` settled by `t`" literal (`χ¹ ∨ χ⁰`).
+    /// The memoized "`node` settled by `t`" literal (`χ¹ ∨ χ⁰`),
+    /// constant true from the node's topological arrival on.
     fn settled_lit(&mut self, net: &Network, node: NodeId, t: Time) -> Lit {
+        if t >= self.topo[node.index()] {
+            return self.const_true;
+        }
         let key = (node.index() as u32, t);
         if let Some(&l) = self.settled.get(&key) {
             return l;
@@ -245,13 +305,17 @@ impl ChiSatEngine {
         l
     }
 
+    /// Tseitin AND of `lits`, folding constant operands.
     fn and_lit(&mut self, lits: &[Lit]) -> Lit {
+        let Some(lits) = fold(lits, self.const_true) else {
+            return !self.const_true;
+        };
         match lits.len() {
             0 => self.const_true,
             1 => lits[0],
             _ => {
                 let out = self.solver.new_var().positive();
-                for &l in lits {
+                for &l in &lits {
                     self.solver.add_clause([!out, l]);
                 }
                 let mut clause: Vec<Lit> = lits.iter().map(|&l| !l).collect();
@@ -262,18 +326,21 @@ impl ChiSatEngine {
         }
     }
 
+    /// Tseitin OR of `lits`, folding constant operands.
     fn or_lit(&mut self, lits: &[Lit]) -> Lit {
+        let Some(mut lits) = fold(lits, !self.const_true) else {
+            return self.const_true;
+        };
         match lits.len() {
             0 => !self.const_true,
             1 => lits[0],
             _ => {
                 let out = self.solver.new_var().positive();
-                for &l in lits {
+                for &l in &lits {
                     self.solver.add_clause([!l, out]);
                 }
-                let mut clause: Vec<Lit> = lits.to_vec();
-                clause.push(!out);
-                self.solver.add_clause(clause);
+                lits.push(!out);
+                self.solver.add_clause(lits);
                 out
             }
         }
@@ -405,6 +472,15 @@ impl ChiSatEngine {
     }
 }
 
+/// `lits` without the constant `unit` operands, or `None` when one is
+/// the absorbing constant `¬unit`.
+fn fold(lits: &[Lit], unit: Lit) -> Option<Vec<Lit>> {
+    if lits.contains(&!unit) {
+        return None;
+    }
+    Some(lits.iter().copied().filter(|&l| l != unit).collect())
+}
+
 impl Drop for ChiSatEngine {
     fn drop(&mut self) {
         xrta_robust::mem::global().release(xrta_robust::mem::Subsystem::ChiMemo, self.mem_charged);
@@ -414,8 +490,11 @@ impl Drop for ChiSatEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{EngineKind, FunctionalTiming};
+    use xrta_circuits::{random_circuit, RandomCircuitSpec};
     use xrta_network::GateKind;
-    use xrta_timing::UnitDelay;
+    use xrta_rng::Rng;
+    use xrta_timing::{topological_delays, TableDelay, UnitDelay};
 
     #[test]
     fn stability_thresholds_match_topology_without_false_paths() {
@@ -529,5 +608,142 @@ mod tests {
         assert!(!eng.stable_by(&net, g, Time::new(1)));
         assert!(!eng.stable_by(&net, g, Time::new(3)));
         assert!(eng.stable_by(&net, g, Time::new(4)));
+    }
+
+    #[test]
+    fn clamp_proves_every_c6288_output_settled_at_its_topological_arrival() {
+        // At its topological arrival an output is settled for every
+        // input vector. Unclamped, that query is a χ¹ ∨ χ⁰ miter over
+        // the whole 16×16 multiplier; clamped, it is a constant, so
+        // even zero conflict and propagation budgets prove it.
+        let row = xrta_circuits::iscas_rows()
+            .into_iter()
+            .find(|r| r.name == "C6288")
+            .expect("Table 2 has a C6288 row");
+        let net = row.build();
+        let mut eng = ChiSatEngine::new(&net, &UnitDelay, vec![Time::ZERO; net.inputs().len()]);
+        eng.set_conflict_budget(Some(0));
+        eng.set_propagation_budget(Some(0));
+        let topo = topological_delays(&net, &UnitDelay);
+        for (&out, &arrival) in net.outputs().iter().zip(&topo) {
+            assert_eq!(
+                eng.check_stable(&net, out, arrival),
+                Stability::Stable,
+                "output {out:?} at its topological arrival {arrival}"
+            );
+        }
+    }
+
+    /// A seeded random circuit plus a constant node feeding one extra
+    /// output, 0–2 tick gate delays, and input arrivals drawn from
+    /// −2…2 and ∞.
+    fn differential_case(seed: u64) -> (Network, TableDelay, Vec<Time>) {
+        let mut net = random_circuit(RandomCircuitSpec {
+            inputs: 5,
+            gates: 18,
+            outputs: 3,
+            seed,
+            ..RandomCircuitSpec::default()
+        })
+        .expect("valid random circuit");
+        let mut rng = Rng::seed_from_u64(seed);
+        let kind = if rng.bool() {
+            GateKind::Const1
+        } else {
+            GateKind::Const0
+        };
+        let k = net.add_gate("k", kind, &[]).unwrap();
+        let gate = *rng.pick(&[GateKind::And, GateKind::Or, GateKind::Xor]);
+        let z = net.add_gate("kz", gate, &[k, net.outputs()[0]]).unwrap();
+        net.mark_output(z);
+        let mut delays = TableDelay::with_default(&net, 1);
+        for id in net.node_ids() {
+            delays.set(id, rng.range_i64(0, 2));
+        }
+        let arrivals = net
+            .inputs()
+            .iter()
+            .map(|_| match rng.range_i64(-2, 3) {
+                3 => Time::INF,
+                t => Time::new(t),
+            })
+            .collect();
+        (net, delays, arrivals)
+    }
+
+    /// Query times from below the earliest arrival (−2) to one past the
+    /// latest finite topological arrival any arrivals of a case allow
+    /// (every input at 2), then ∞.
+    fn query_times(net: &Network, delays: &TableDelay) -> Vec<Time> {
+        let latest = arrival_times(net, delays, &vec![Time::new(2); net.inputs().len()])
+            .into_iter()
+            .filter(|t| t.is_finite())
+            .max()
+            .map_or(0, Time::ticks);
+        (-3..=latest + 1)
+            .map(Time::new)
+            .chain([Time::INF])
+            .collect()
+    }
+
+    #[test]
+    fn clamped_verdicts_match_the_unclamped_bdd_reference() {
+        // The BDD engine expands the χ recursion at every time with no
+        // clamp, so it is the reference: one clamped SAT engine per
+        // circuit (learnt clauses carried across queries) must give
+        // its verdict for every node at every time.
+        let verdict = |stable: bool| {
+            if stable {
+                Stability::Stable
+            } else {
+                Stability::Unstable
+            }
+        };
+        let mut queries = [0usize; 2];
+        for seed in 0..32u64 {
+            let (net, delays, arrivals) = differential_case(seed);
+            let times = query_times(&net, &delays);
+            let reference = FunctionalTiming::new(&net, &delays, arrivals.clone(), EngineKind::Bdd);
+            let mut eng = ChiSatEngine::new(&net, &delays, arrivals.clone());
+            for id in net.node_ids() {
+                for &t in &times {
+                    let want = verdict(reference.stable_by(id, t));
+                    let got = eng.check_stable(&net, id, t);
+                    assert_eq!(got, want, "seed {seed}, {id:?} at {t}");
+                    queries[0] += 1;
+                }
+            }
+            // A varying engine clamps with its input at the latest
+            // value, so each variant must still match a fresh reference
+            // built with that variant's arrival. Only the input's
+            // fanout depends on the variant.
+            let pos = seed as usize % net.inputs().len();
+            let mut fanout = vec![false; net.node_count()];
+            for id in net.node_ids() {
+                fanout[id.index()] = id == net.inputs()[pos]
+                    || net.node(id).fanins.iter().any(|f| fanout[f.index()]);
+            }
+            let values = vec![Time::new(-1), Time::new(1), Time::INF];
+            let references: Vec<_> = values
+                .iter()
+                .map(|&v| {
+                    let mut arr = arrivals.clone();
+                    arr[pos] = v;
+                    FunctionalTiming::new(&net, &delays, arr, EngineKind::Bdd)
+                })
+                .collect();
+            let mut batch = ChiSatEngine::new_varying(&net, &delays, arrivals, pos, values);
+            for id in net.node_ids().filter(|id| fanout[id.index()]) {
+                for &t in &times {
+                    for (k, reference) in references.iter().enumerate() {
+                        let want = verdict(reference.stable_by(id, t));
+                        let got = batch.check_stable_variant(&net, id, t, k);
+                        assert_eq!(got, want, "seed {seed}, {id:?} at {t}, variant {k}");
+                        queries[1] += 1;
+                    }
+                }
+            }
+        }
+        assert!(queries[0] > 5_000 && queries[1] > 10_000, "{queries:?}");
     }
 }

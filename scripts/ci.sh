@@ -375,4 +375,21 @@ awk -v a="$wall1" -v b="$wall4" 'BEGIN {
 }
 rm -rf "$gdir"
 
+# Table 2's C6288 row must read "Yes", as in the paper: the clamped χ
+# network (ChiSatEngine) proves a raised input safe well inside 10 s.
+# Without the clamp every probe is a multiplier miter and the row
+# reads "No".
+echo "==> Table 2 C6288 finds a non-trivial required time"
+cdir6288="/tmp/xrta-ci-c6288-$$"
+mkdir -p "$cdir6288"
+./target/release/table2 --rows C6288 --budget-secs 10 --jobs 1 --threads 1 \
+    --json "$cdir6288/c6288.json" > /dev/null
+grep '"circuit": "C6288"' "$cdir6288/c6288.json" | grep -q '"nontrivial": true' || {
+    echo "C6288 row found no non-trivial required time:"
+    grep '"circuit"' "$cdir6288/c6288.json"
+    exit 1
+}
+echo "    C6288: non-trivial"
+rm -rf "$cdir6288"
+
 echo "CI OK"

@@ -190,10 +190,12 @@ fn fallback_off_returns_structured_errors() {
 
 #[test]
 fn cancellation_mid_approx2_returns_promptly() {
-    // An 8x8 multiplier's χ network is heavy enough that an un-cancelled
-    // climb takes much longer than the cancellation latency we assert.
+    // Table 2's setting, required time 0 at every output: an 8x8
+    // multiplier's climb then runs for seconds, so the cancel lands
+    // mid-climb. At each output's topological delay the χ clamp settles
+    // the climb in milliseconds, before the cancel.
     let net = circuits::array_multiplier(8).expect("valid multiplier");
-    let req = topological_delays(&net, &UnitDelay);
+    let req = vec![Time::ZERO; net.outputs().len()];
     let opts = SessionOptions {
         fallback: true,
         ..SessionOptions::default()
