@@ -60,9 +60,12 @@
 //! input support contains `i` (precomputed
 //! [`Network::output_support_masks`]); every other cone inherits its
 //! verdict from the current safe point. Safety is monotone decreasing
-//! in the pointwise order, so verdict caches answer by dominance
-//! ([`DominanceCache`]) and the per-coordinate climb gallops: next
-//! rung, top rung, then bisect the frontier.
+//! in the pointwise order, so each cone's striped frontier answers its
+//! projections by dominance: a rung is unsafe once one relevant cone's
+//! projection is, safe once all are. That is all a whole-vector cache
+//! could know, as the bottom is seeded per cone and every raise
+//! re-validates the cones supporting it. The per-coordinate climb
+//! gallops: next rung, top rung, then bisect the frontier.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -76,7 +79,6 @@ use xrta_network::{Network, NodeId};
 use xrta_sat::StopReason;
 use xrta_timing::{required_times, DelayModel, TableDelay, Time};
 
-use crate::dominance::DominanceCache;
 use crate::governor::{AnalysisError, Budget};
 use crate::oracle_pool::StealQueues;
 use crate::plan::plan_leaves;
@@ -201,8 +203,9 @@ pub struct Approx2Result {
     pub total_time: Duration,
     /// Oracle invocations (χ-engine runs; cache hits excluded).
     pub oracle_calls: usize,
-    /// Safety queries answered from the verdict caches (whole-vector
-    /// and per-cone combined) without running a χ engine.
+    /// Per-cone safety queries answered from the striped verdict cache
+    /// without running a χ engine; a rung the cache settles counts one
+    /// hit per cone it consulted.
     pub cache_hits: usize,
     /// Worker threads the search was configured to use.
     pub threads_used: usize,
@@ -681,13 +684,18 @@ fn worker_loop(shared: &OracleShared, w: usize, tx: mpsc::Sender<BatchOut>) {
     }
 }
 
+/// What the per-cone frontiers know about one rung (see
+/// [`Search::lookup_rung`]).
+enum RungLookup {
+    /// Unsafe by one cone's verdict, or safe by every relevant cone's.
+    Known(bool),
+    /// The relevant cones still unanswered, with their projections.
+    Open(Vec<(usize, Vec<Time>)>),
+}
+
 struct Search {
     shared: Arc<OracleShared>,
     candidates: Vec<Vec<Time>>,
-    r_bottom: Vec<Time>,
-    /// Whole-vector verdict cache (coordinator-only; per-cone verdicts
-    /// live in the shared striped cache).
-    dom_full: DominanceCache,
     first_nontrivial: Option<Duration>,
     out_of_budget: bool,
     interrupted: Option<AnalysisError>,
@@ -713,10 +721,35 @@ impl Search {
             .collect()
     }
 
-    fn record_full(&mut self, r: &[Time], safe: bool) {
-        self.dom_full.insert(r, safe);
-        if safe && self.first_nontrivial.is_none() && r != self.r_bottom.as_slice() {
-            self.first_nontrivial = Some(self.shared.started.elapsed());
+    /// Answers raising coordinate `i` of the safe point `base` to `rung`
+    /// from the per-cone frontiers, asking the cones that support `i` in
+    /// cone order and stopping at the first unsafe one (every other
+    /// cone's projection is `base`'s, known safe). `lookup` is the
+    /// striped cache's counting `query` or its non-counting `peek`.
+    fn lookup_rung(
+        &self,
+        base: &[Time],
+        i: usize,
+        rung: Time,
+        lookup: impl Fn(usize, &[Time]) -> Option<bool>,
+    ) -> RungLookup {
+        let mut open = Vec::new();
+        let raised = |&p: &usize| if p == i { rung } else { base[p] };
+        for (c, cone) in self.shared.cones.iter().enumerate() {
+            if !cone.supports(i) {
+                continue;
+            }
+            let proj: Vec<Time> = cone.input_pos.iter().map(raised).collect();
+            match lookup(c, &proj) {
+                Some(true) => {}
+                Some(false) => return RungLookup::Known(false),
+                None => open.push((c, proj)),
+            }
+        }
+        if open.is_empty() {
+            RungLookup::Known(true)
+        } else {
+            RungLookup::Open(open)
         }
     }
 
@@ -858,20 +891,16 @@ impl Search {
             if pos + 1 >= cands.len() {
                 continue; // already at the top
             }
-            let mut v = r.to_vec();
-            v[i] = cands[pos + 1];
             // Non-counting peek: planning must not inflate the hit
             // counters.
-            if self.dom_full.peek(&v).is_some() {
-                continue; // the climb will answer this from the caches
-            }
-            let cones: Vec<(usize, Vec<Time>)> = (0..self.shared.cones.len())
-                .filter(|&c| {
-                    let cone = &self.shared.cones[c];
-                    cone.supports(i) && cone.mask.iter().zip(&blocked).all(|(m, b)| m & b == 0)
-                })
-                .map(|c| (c, self.project(c, &v)))
-                .collect();
+            let peek = |c, p: &[Time]| self.shared.cache.peek(c, p);
+            let RungLookup::Open(mut cones) = self.lookup_rung(r, i, cands[pos + 1], peek) else {
+                continue; // the climb will answer this from the cache
+            };
+            cones.retain(|(c, _)| {
+                let mask = &self.shared.cones[*c].mask;
+                mask.iter().zip(&blocked).all(|(m, b)| m & b == 0)
+            });
             if cones.is_empty() {
                 continue;
             }
@@ -909,54 +938,26 @@ impl Search {
         }) {
             self.shared.cache.reclaim();
         }
-        let relevant: Vec<usize> = (0..self.shared.cones.len())
-            .filter(|&c| self.shared.cones[c].supports(i))
-            .collect();
         // Per rung: Some(verdict) once known, else the cones still
         // needing an oracle run.
         let mut verdicts: Vec<Option<bool>> = Vec::with_capacity(rungs.len());
-        let mut unresolved: Vec<Vec<usize>> = Vec::with_capacity(rungs.len());
+        let mut unresolved: Vec<Vec<(usize, Vec<Time>)>> = Vec::with_capacity(rungs.len());
+        let query = |c, p: &[Time]| self.shared.cache.query(c, p);
         for &rung in rungs {
-            let mut v = base.to_vec();
-            v[i] = rung;
-            if let Some(known) = self.dom_full.query(&v) {
-                verdicts.push(Some(known));
-                unresolved.push(Vec::new());
-                continue;
-            }
-            let mut todo = Vec::new();
-            let mut known_unsafe = false;
-            for &c in &relevant {
-                let proj = self.project(c, &v);
-                match self.shared.cache.query(c, &proj) {
-                    Some(true) => {}
-                    Some(false) => {
-                        known_unsafe = true;
-                        break;
-                    }
-                    None => todo.push(c),
-                }
-            }
-            if known_unsafe {
-                verdicts.push(Some(false));
-                self.record_full(&v, false);
-                unresolved.push(Vec::new());
-            } else if todo.is_empty() {
-                verdicts.push(Some(true));
-                self.record_full(&v, true);
-                unresolved.push(Vec::new());
-            } else {
-                verdicts.push(None);
-                unresolved.push(todo);
-            }
+            let (verdict, todo) = match self.lookup_rung(base, i, rung, query) {
+                RungLookup::Known(safe) => (Some(safe), Vec::new()),
+                RungLookup::Open(todo) => (None, todo),
+            };
+            verdicts.push(verdict);
+            unresolved.push(todo);
         }
         if unresolved.iter().any(|u| !u.is_empty()) {
             // One batch per cone, in cone-index order, carrying every
             // rung that still needs this cone's verdict.
             let mut batches: Vec<Batch> = Vec::new();
-            for &c in &relevant {
+            for c in 0..self.shared.cones.len() {
                 let pending: Vec<(usize, Time)> = (0..rungs.len())
-                    .filter(|&k| unresolved[k].contains(&c))
+                    .filter(|&k| unresolved[k].iter().any(|(u, _)| *u == c))
                     .map(|k| (k, rungs[k]))
                     .collect();
                 if pending.is_empty() {
@@ -1002,15 +1003,18 @@ impl Search {
             let failed_mask = self.shared.round_failed.load(Ordering::Relaxed);
             for (k, verdict) in verdicts.iter_mut().enumerate() {
                 if verdict.is_none() {
-                    let safe = !rung_unsafe[k] && failed_mask >> k & 1 == 0;
-                    let mut v = base.to_vec();
-                    v[i] = rungs[k];
-                    self.record_full(&v, safe);
-                    *verdict = Some(safe);
+                    *verdict = Some(!rung_unsafe[k] && failed_mask >> k & 1 == 0);
                 }
             }
         }
-        Some(verdicts.into_iter().map(|v| v.expect("resolved")).collect())
+        let verdicts: Vec<bool> = verdicts.into_iter().map(|v| v.expect("resolved")).collect();
+        if verdicts.contains(&true) {
+            // Every rung raises a coordinate of a safe point, so a safe
+            // rung is a validated `r ≠ r⊥`.
+            let elapsed = self.shared.started.elapsed();
+            self.first_nontrivial.get_or_insert(elapsed);
+        }
+        Some(verdicts)
     }
 
     /// Raises coordinate `i` of the safe point `r` as far as it goes
@@ -1291,8 +1295,6 @@ pub fn approx2_required_times_governed<D: DelayModel>(
     let mut search = Search {
         shared: Arc::clone(&shared),
         candidates,
-        r_bottom: r_bottom.clone(),
-        dom_full: DominanceCache::new(),
         first_nontrivial: None,
         out_of_budget: false,
         interrupted: None,
@@ -1305,9 +1307,8 @@ pub fn approx2_required_times_governed<D: DelayModel>(
     };
 
     // The bottom is safe by construction (topological analysis is
-    // conservative); seed the caches so a conflict budget cannot make
-    // the search reject its own starting point.
-    search.record_full(&r_bottom, true);
+    // conservative); seed every cone's frontier so a conflict budget
+    // cannot make the search reject its own starting point.
     for c in 0..n_cones {
         let proj = search.project(c, &r_bottom);
         shared.cache.insert(c, &proj, true);
@@ -1339,7 +1340,7 @@ pub fn approx2_required_times_governed<D: DelayModel>(
         first_nontrivial: search.first_nontrivial,
         total_time: started.elapsed(),
         oracle_calls: shared.oracle_calls.load(Ordering::Relaxed),
-        cache_hits: search.dom_full.hits() + shared.cache.hits(),
+        cache_hits: shared.cache.hits(),
         threads_used: options.effective_threads(),
         steals: shared.queues.steals(),
         shard_contention: shared.cache.contention(),

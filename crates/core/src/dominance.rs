@@ -11,9 +11,13 @@
 //! The cache therefore stores two antichains — the maximal known-safe
 //! points and the minimal known-unsafe points — and answers any
 //! dominated/dominating query without touching a χ engine. Incomparable
-//! queries miss. On rotated lattice climbs, where restarts re-traverse
-//! the region below an already-discovered maximal point, dominance
-//! converts nearly the whole re-climb into cache hits.
+//! queries miss. The §4.3 oracle keeps one such cache per output cone,
+//! over that cone's projection ([`crate::stripes`]), and answers every
+//! whole-vector question from them: a rung is unsafe once one cone's
+//! projection is, safe once every cone's is. Rotated lattice climbs,
+//! whose restarts re-traverse the region below an already-discovered
+//! maximal point, become nearly all per-cone hits. Hit and miss
+//! counting lives with that striped cache, not here.
 
 use xrta_timing::Time;
 
@@ -30,8 +34,6 @@ pub struct DominanceCache {
     safe: Vec<Vec<Time>>,
     /// Minimal known-unsafe points (an antichain).
     unsafe_: Vec<Vec<Time>>,
-    hits: usize,
-    misses: usize,
 }
 
 fn le(a: &[Time], b: &[Time]) -> bool {
@@ -45,17 +47,7 @@ impl DominanceCache {
     }
 
     /// Answers `r` by dominance, or `None` when `r` is incomparable to
-    /// every stored point. Updates hit/miss statistics.
-    pub fn query(&mut self, r: &[Time]) -> Option<bool> {
-        let verdict = self.peek(r);
-        match verdict {
-            Some(_) => self.hits += 1,
-            None => self.misses += 1,
-        }
-        verdict
-    }
-
-    /// Like [`DominanceCache::query`] without touching the statistics.
+    /// every stored point.
     pub fn peek(&self, r: &[Time]) -> Option<bool> {
         if self.safe.iter().any(|s| le(r, s)) {
             return Some(true);
@@ -92,16 +84,6 @@ impl DominanceCache {
         frontier.len() as isize - before
     }
 
-    /// Queries answered by dominance.
-    pub fn hits(&self) -> usize {
-        self.hits
-    }
-
-    /// Queries that fell through to the oracle.
-    pub fn misses(&self) -> usize {
-        self.misses
-    }
-
     /// Stored frontier sizes `(safe, unsafe)`.
     pub fn frontier_sizes(&self) -> (usize, usize) {
         (self.safe.len(), self.unsafe_.len())
@@ -121,21 +103,18 @@ mod tests {
         let mut c = DominanceCache::new();
         c.insert(&t(&[3, 5, 2]), true);
         // The point itself, and anything pointwise below it.
-        assert_eq!(c.query(&t(&[3, 5, 2])), Some(true));
-        assert_eq!(c.query(&t(&[0, 0, 0])), Some(true));
-        assert_eq!(c.query(&t(&[3, 4, 2])), Some(true));
-        assert_eq!(c.hits(), 3);
-        assert_eq!(c.misses(), 0);
+        assert_eq!(c.peek(&t(&[3, 5, 2])), Some(true));
+        assert_eq!(c.peek(&t(&[0, 0, 0])), Some(true));
+        assert_eq!(c.peek(&t(&[3, 4, 2])), Some(true));
     }
 
     #[test]
     fn dominating_an_unsafe_point_answers_without_oracle() {
         let mut c = DominanceCache::new();
         c.insert(&t(&[2, 2]), false);
-        assert_eq!(c.query(&t(&[2, 2])), Some(false));
-        assert_eq!(c.query(&t(&[5, 2])), Some(false));
-        assert_eq!(c.query(&t(&[2, 9])), Some(false));
-        assert_eq!(c.hits(), 3);
+        assert_eq!(c.peek(&t(&[2, 2])), Some(false));
+        assert_eq!(c.peek(&t(&[5, 2])), Some(false));
+        assert_eq!(c.peek(&t(&[2, 9])), Some(false));
     }
 
     #[test]
@@ -145,17 +124,15 @@ mod tests {
         c.insert(&t(&[0, 4]), false);
         // Above the safe point in one coordinate, below the unsafe point
         // in the other: incomparable to both ⇒ must go to the oracle.
-        assert_eq!(c.query(&t(&[4, 0])), None);
-        assert_eq!(c.query(&t(&[1, 1])), None);
-        assert_eq!(c.misses(), 2);
-        assert_eq!(c.hits(), 0);
+        assert_eq!(c.peek(&t(&[4, 0])), None);
+        assert_eq!(c.peek(&t(&[1, 1])), None);
     }
 
     #[test]
     fn infinity_participates_in_the_order() {
         let mut c = DominanceCache::new();
         c.insert(&t(&[1]).iter().map(|_| Time::INF).collect::<Vec<_>>(), true);
-        assert_eq!(c.query(&t(&[1_000_000])), Some(true));
+        assert_eq!(c.peek(&t(&[1_000_000])), Some(true));
     }
 
     #[test]

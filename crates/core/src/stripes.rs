@@ -142,16 +142,21 @@ impl StripedVerdictCache {
     /// Answers `(cone, proj)` from the cache, if it can. Counts one hit
     /// or miss.
     pub fn query(&self, cone: usize, proj: &[Time]) -> Option<bool> {
-        let verdict = self
-            .lock_stripe(cone)
-            .dom
-            .get(&cone)
-            .and_then(|c| c.peek(proj));
+        let verdict = self.peek(cone, proj);
         match verdict {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
         };
         verdict
+    }
+
+    /// Like [`StripedVerdictCache::query`] without touching the hit and
+    /// miss counters (for planning, which answers no query itself).
+    pub fn peek(&self, cone: usize, proj: &[Time]) -> Option<bool> {
+        self.lock_stripe(cone)
+            .dom
+            .get(&cone)
+            .and_then(|c| c.peek(proj))
     }
 
     /// Records an oracle verdict for `(cone, proj)`, releasing any
@@ -291,6 +296,10 @@ mod tests {
         assert_eq!(cache.query(0, &t(&[4, 1])), None, "incomparable");
         assert_eq!(cache.hits(), 2);
         assert_eq!(cache.misses(), 2);
+        // Planning peeks answer alike but count nothing.
+        assert_eq!(cache.peek(0, &t(&[9, 5])), Some(false));
+        assert_eq!(cache.peek(1, &t(&[1, 2])), None);
+        assert_eq!((cache.hits(), cache.misses()), (2, 2));
     }
 
     #[test]

@@ -345,6 +345,33 @@ wait "$route_pid"
 wait "$shard1_pid" || true
 rm -rf "$cdir"
 
+# Same-search gate: at one oracle thread the §4.3 climb is
+# deterministic, so its per-row counts must equal the one-thread rows
+# of the checked-in BENCH_reqtime.json. A change that alters the search
+# must regenerate that report and say why. C6288 is left out: it stops
+# at its deadline, so its counts depend on the host's speed.
+echo "==> same-search gate: table2 @1 counts match BENCH_reqtime.json"
+qdir="/tmp/xrta-ci-search-$$"
+mkdir -p "$qdir"
+search_rows="C432 C499 C880 C1355 C1908 C2670 C3540 C5315 C7552"
+./target/release/table2 --rows "${search_rows// /,}" --threads 1 --jobs 1 \
+    --budget-secs 30 --json "$qdir/t1.json" > /dev/null
+# "circuit oracle_calls batches batched_probes" of one one-thread row.
+search_counts() {
+    grep '"threads": 1,' "$1" | sed -n 's/.*"circuit": "\([^"]*\)".*"oracle_calls": \([0-9]*\),.*"batches": \([0-9]*\), "batched_probes": \([0-9]*\),.*/\1 \2 \3 \4/p' \
+        | grep "^$2 " | head -1 || true
+}
+for row in $search_rows; do
+    fresh=$(search_counts "$qdir/t1.json" "$row")
+    pinned=$(search_counts BENCH_reqtime.json "$row")
+    if [ -z "$fresh" ] || [ "$fresh" != "$pinned" ]; then
+        echo "same-search gate: $row reads '${fresh:-no row}', BENCH_reqtime.json '${pinned:-no row}'"
+        exit 1
+    fi
+done
+echo "    oracle_calls, batches and batched_probes match on all nine rows"
+rm -rf "$qdir"
+
 # Scaling gate: the work-stealing oracle must never make threads a
 # regression. Run table2's C3540 row at 1 and 4 oracle threads and fail
 # if the 4-thread wall exceeds the 1-thread wall beyond container noise

@@ -4,7 +4,9 @@
 //! maximal point must be safe and unraisable under the independent BDD
 //! oracle. (Cone verdicts are pure functions of the query, so neither
 //! the fan-out across worker threads nor dominance pruning may change
-//! what the search finds — only how fast it finds it.)
+//! what the search finds — only how fast it finds it.) The small
+//! circuits fit one support-mask word and two cones; [`WIDE`] spans
+//! two words and eight cones.
 
 use xrta::circuits::{random_circuit, RandomCircuitSpec};
 use xrta::prelude::*;
@@ -24,6 +26,25 @@ fn seeds() -> impl Iterator<Item = u64> {
     (0..10u64).map(|i| 0x9E37u64.wrapping_mul(2654435761).wrapping_add(i * 487))
 }
 
+/// A circuit wider than one 64-input support-mask word (some of its
+/// cones read inputs past the 64th), with enough cones that rounds
+/// carry several batches and speculation plans across both mask words.
+/// Its climb takes 728 oracle calls at one thread and reaches a
+/// non-trivial point.
+const WIDE: RandomCircuitSpec = RandomCircuitSpec {
+    inputs: 72,
+    gates: 90,
+    outputs: 8,
+    max_fanin: 3,
+    locality: 50,
+    seed: 6,
+};
+
+/// The circuits both differentials below run over.
+fn cases() -> impl Iterator<Item = RandomCircuitSpec> {
+    seeds().map(spec).chain(std::iter::once(WIDE))
+}
+
 fn opts(threads: usize) -> Approx2Options {
     Approx2Options {
         max_solutions: 3,
@@ -35,8 +56,9 @@ fn opts(threads: usize) -> Approx2Options {
 
 #[test]
 fn parallel_and_sequential_find_identical_maximal_sets() {
-    for seed in seeds() {
-        let net = random_circuit(spec(seed)).expect("valid spec");
+    for case in cases() {
+        let seed = case.seed;
+        let net = random_circuit(case).expect("valid spec");
         let req = vec![Time::ZERO; net.outputs().len()];
         let seq = approx2_required_times(&net, &UnitDelay, &req, opts(1));
         for threads in [2usize, 4] {
@@ -81,11 +103,12 @@ fn rendered_report_is_byte_identical_across_thread_counts() {
 #[test]
 fn parallel_maximal_points_are_safe_and_unraisable() {
     for threads in [1usize, 4] {
-        for seed in seeds() {
-            let net = random_circuit(spec(seed)).expect("valid spec");
+        for case in cases() {
+            let seed = case.seed;
+            let net = random_circuit(case).expect("valid spec");
             let req = vec![Time::ZERO; net.outputs().len()];
             let r = approx2_required_times(&net, &UnitDelay, &req, opts(threads));
-            assert!(r.completed, "budget hit on a small circuit (seed {seed})");
+            assert!(r.completed, "oracle-call budget hit (seed {seed})");
             for m in &r.maximal {
                 let ft = FunctionalTiming::new(&net, &UnitDelay, m.clone(), EngineKind::Bdd);
                 assert!(
