@@ -51,10 +51,8 @@ struct Record {
     cache_hits: usize,
     cache_hit_rate: f64,
     steals: usize,
-    shard_contention: usize,
     batches: usize,
     batched_probes: usize,
-    spec_probes: usize,
     /// Output cones the incremental (delta) path would slice this
     /// circuit into.
     cones: usize,
@@ -160,8 +158,7 @@ fn render_json(budget: Duration, records: &[Record], resynth: &[ResynthRecord]) 
              \"nontrivial\": {}, \"completed\": {}, \
              \"first_nontrivial_secs\": {}, \"wall_secs\": {:.4}, \
              \"oracle_calls\": {}, \"cache_hits\": {}, \"cache_hit_rate\": {:.4}, \
-             \"steals\": {}, \"shard_contention\": {}, \"batches\": {}, \
-             \"batched_probes\": {}, \"spec_probes\": {}, \
+             \"steals\": {}, \"batches\": {}, \"batched_probes\": {}, \
              \"cones\": {}, \"cone_distinct\": {}, \"cone_dup_hits\": {}, \
              \"speedup_vs_serial\": {}, \"oracle_call_ratio\": {}, \
              \"peak_mem\": {}}}{}",
@@ -176,10 +173,8 @@ fn render_json(budget: Duration, records: &[Record], resynth: &[ResynthRecord]) 
             r.cache_hits,
             r.cache_hit_rate,
             r.steals,
-            r.shard_contention,
             r.batches,
             r.batched_probes,
-            r.spec_probes,
             r.cones,
             r.cone_distinct,
             r.cone_dup_hits,
@@ -527,10 +522,8 @@ fn main() {
                                 cache_hits: rep.cache_hits,
                                 cache_hit_rate: rep.cache_hit_rate,
                                 steals: rep.steals,
-                                shard_contention: rep.shard_contention,
                                 batches: rep.batches,
                                 batched_probes: rep.batched_probes,
-                                spec_probes: rep.spec_probes,
                                 cones,
                                 cone_distinct,
                                 cone_dup_hits: cones - cone_distinct,
@@ -680,10 +673,8 @@ mod tests {
             cache_hits: 3,
             cache_hit_rate: 0.25,
             steals: 0,
-            shard_contention: 0,
             batches: 2,
             batched_probes: 4,
-            spec_probes: 1,
             cones: 7,
             cone_distinct: 5,
             cone_dup_hits: 2,

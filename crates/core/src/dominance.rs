@@ -17,7 +17,7 @@
 //! projection is, safe once every cone's is. Rotated lattice climbs,
 //! whose restarts re-traverse the region below an already-discovered
 //! maximal point, become nearly all per-cone hits. Hit and miss
-//! counting lives with that striped cache, not here.
+//! counting lives with that per-cone store, not here.
 
 use xrta_timing::Time;
 

@@ -64,7 +64,6 @@ mod flex;
 pub mod governor;
 mod leaves;
 mod macro_model;
-mod oracle_pool;
 mod plan;
 pub mod report;
 pub mod session;
@@ -96,6 +95,6 @@ pub use session::{
     run_with_fallback, Answer, RungAttempt, SessionAnswer, SessionOptions, SessionReport, Verdict,
 };
 pub use slack::{true_slack, TrueSlack};
-pub use stripes::{support_fingerprint, Claim, StripedVerdictCache};
+pub use stripes::StripedVerdictCache;
 pub use types::{RequiredTimeTuple, ValueTimes};
 pub use xrta_robust::failpoint;

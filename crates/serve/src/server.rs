@@ -688,7 +688,6 @@ fn lead(
             c.fetch_add(v as u64, Ordering::Relaxed);
         };
         add(&shared.stats.oracle_steals, r.steals);
-        add(&shared.stats.oracle_contention, r.shard_contention);
         add(&shared.stats.oracle_batches, r.batches);
     }
     Ok(report.digest())

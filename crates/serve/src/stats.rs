@@ -1,12 +1,12 @@
 //! Server counters, gauges and service-time percentiles.
 //!
-//! Counters are lock-free atomics bumped on the hot path; service
-//! times are recorded in microseconds under a mutex (one push per
-//! analyze response — cheap next to the analysis itself) and reduced
-//! to p50/p99 only when a snapshot is taken.
+//! Counters are lock-free atomics bumped on the hot path. Service times
+//! land in a fixed array of log-spaced atomic buckets: one increment
+//! per analyze response, the same footprint however long the server
+//! runs, and p50/p99 read from cumulative counts only when a snapshot
+//! is taken.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 use xrta_robust::jsonflat::Fields;
@@ -42,12 +42,9 @@ pub struct ServeStats {
     pub in_flight: AtomicU64,
     /// Analyze requests currently waiting in the bounded queue.
     pub queue_depth: AtomicU64,
-    /// §4.3 oracle batches stolen by idle workers, summed over every
-    /// approx-2 analysis this server ran.
+    /// §4.3 oracle batches executed on helper threads, summed over
+    /// every approx-2 analysis this server ran.
     pub oracle_steals: AtomicU64,
-    /// Striped verdict-cache lock acquisitions that hit a held stripe,
-    /// summed over every approx-2 analysis.
-    pub oracle_contention: AtomicU64,
     /// Oracle batches executed (multi-rung, shared χ engine), summed
     /// over every approx-2 analysis.
     pub oracle_batches: AtomicU64,
@@ -60,29 +57,80 @@ pub struct ServeStats {
     /// `cone_hits` unless a splice was abandoned mid-flight.
     pub cone_splices: AtomicU64,
     /// Completed analyze service times, microseconds.
-    service_us: Mutex<Vec<u64>>,
+    service_us: ServiceTimes,
+}
+
+/// Sub-buckets per power of two, as a bit count: 16 per octave, so a
+/// bucket spans at most 1/16 of its smallest value.
+const SUB_BITS: u32 = 4;
+const SUB: usize = 1 << SUB_BITS;
+/// One exact bucket per value below `2 * SUB`, then `SUB` per octave up
+/// to `u64::MAX`.
+const BUCKETS: usize = (64 - SUB_BITS as usize + 1) * SUB;
+
+/// The bucket holding `v`.
+fn bucket_of(v: u64) -> usize {
+    if v < SUB as u64 {
+        return v as usize;
+    }
+    let shift = 63 - v.leading_zeros() - SUB_BITS;
+    (shift as usize + 1) * SUB + ((v >> shift) as usize & (SUB - 1))
+}
+
+/// The largest value bucket `b` holds.
+fn bucket_max(b: usize) -> u64 {
+    if b < SUB {
+        return b as u64;
+    }
+    let shift = (b / SUB - 1) as u32;
+    (((SUB + b % SUB) as u64) << shift) + ((1u64 << shift) - 1)
+}
+
+/// Service-time counts in log-spaced buckets, a fixed array.
+#[derive(Debug)]
+struct ServiceTimes([AtomicU64; BUCKETS]);
+
+impl Default for ServiceTimes {
+    fn default() -> Self {
+        ServiceTimes(std::array::from_fn(|_| AtomicU64::new(0)))
+    }
+}
+
+/// The `p`-quantile of the samples counted in `counts`: the largest
+/// value of the bucket holding the sample of rank `⌈p·n⌉` (0 when
+/// empty).
+fn percentile(counts: &[u64], p: f64) -> u64 {
+    let total: u64 = counts.iter().sum();
+    if total == 0 {
+        return 0;
+    }
+    let rank = ((total as f64 * p).ceil() as u64).clamp(1, total);
+    let mut seen = 0;
+    let b = counts
+        .iter()
+        .position(|&c| {
+            seen += c;
+            seen >= rank
+        })
+        .expect("rank is at most the total");
+    bucket_max(b)
 }
 
 impl ServeStats {
     /// Records one completed analyze request's wall time.
     pub fn record_service(&self, elapsed: Duration) {
         let us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
-        self.service_us.lock().unwrap().push(us);
+        self.service_us.0[bucket_of(us)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Takes a consistent-enough snapshot for reporting.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let lat = self.service_us.lock().unwrap();
-        let mut sorted = lat.clone();
-        drop(lat);
-        sorted.sort_unstable();
-        let pct = |p: f64| -> u64 {
-            if sorted.is_empty() {
-                return 0;
-            }
-            let rank = ((sorted.len() as f64) * p).ceil() as usize;
-            sorted[rank.clamp(1, sorted.len()) - 1]
-        };
+        let counts: Vec<u64> = self
+            .service_us
+            .0
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .collect();
         StatsSnapshot {
             requests: self.requests.load(Ordering::Relaxed),
             answered: self.answered.load(Ordering::Relaxed),
@@ -96,10 +144,9 @@ impl ServeStats {
             in_flight: self.in_flight.load(Ordering::Relaxed),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             oracle_steals: self.oracle_steals.load(Ordering::Relaxed),
-            oracle_contention: self.oracle_contention.load(Ordering::Relaxed),
             oracle_batches: self.oracle_batches.load(Ordering::Relaxed),
-            p50_us: pct(0.50),
-            p99_us: pct(0.99),
+            p50_us: percentile(&counts, 0.50),
+            p99_us: percentile(&counts, 0.99),
             cone_hits: self.cone_hits.load(Ordering::Relaxed),
             cone_misses: self.cone_misses.load(Ordering::Relaxed),
             cone_splices: self.cone_splices.load(Ordering::Relaxed),
@@ -141,13 +188,14 @@ pub struct StatsSnapshot {
     pub queue_depth: u64,
     /// See [`ServeStats::oracle_steals`].
     pub oracle_steals: u64,
-    /// See [`ServeStats::oracle_contention`].
-    pub oracle_contention: u64,
     /// See [`ServeStats::oracle_batches`].
     pub oracle_batches: u64,
-    /// Median analyze service time, microseconds.
+    /// Median analyze service time, microseconds, read from the
+    /// histogram: the largest value of its bucket (at most 1/16 above
+    /// the exact median).
     pub p50_us: u64,
-    /// 99th-percentile analyze service time, microseconds.
+    /// 99th-percentile analyze service time, microseconds, read like
+    /// `p50_us`.
     pub p99_us: u64,
     /// See [`ServeStats::cone_hits`].
     pub cone_hits: u64,
@@ -175,7 +223,7 @@ impl StatsSnapshot {
             "{{\"status\":\"stats\",\"requests\":{},\"answered\":{},\"hits_mem\":{},\
              \"hits_disk\":{},\"misses\":{},\"computations\":{},\"sheds\":{},\
              \"shutdowns\":{},\"errors\":{},\"in_flight\":{},\"queue_depth\":{},\
-             \"oracle_steals\":{},\"oracle_contention\":{},\"oracle_batches\":{},\
+             \"oracle_steals\":{},\"oracle_batches\":{},\
              \"p50_us\":{},\"p99_us\":{},\
              \"cone_hits\":{},\"cone_misses\":{},\"cone_splices\":{},\
              \"sheds_memory\":{},\"mem_bytes\":{},\"mem_peak\":{}}}",
@@ -191,7 +239,6 @@ impl StatsSnapshot {
             self.in_flight,
             self.queue_depth,
             self.oracle_steals,
-            self.oracle_contention,
             self.oracle_batches,
             self.p50_us,
             self.p99_us,
@@ -220,7 +267,6 @@ impl StatsSnapshot {
             in_flight: f.get_u64("in_flight")?,
             queue_depth: f.get_u64("queue_depth")?,
             oracle_steals: f.get_u64("oracle_steals")?,
-            oracle_contention: f.get_u64("oracle_contention")?,
             oracle_batches: f.get_u64("oracle_batches")?,
             p50_us: f.get_u64("p50_us")?,
             p99_us: f.get_u64("p99_us")?,
@@ -240,7 +286,7 @@ impl StatsSnapshot {
         format!(
             "serve: {} requests | {} hits ({} mem, {} disk) | {} misses | \
              {} sheds | {} errors | p50 {:.1}ms p99 {:.1}ms | \
-             oracle {} steals {} contended {} batches | \
+             oracle {} steals {} batches | \
              cones: {} hit, {} miss, {} spliced | \
              mem_bytes {} mem_peak {}",
             self.requests,
@@ -253,7 +299,6 @@ impl StatsSnapshot {
             self.p50_us as f64 / 1000.0,
             self.p99_us as f64 / 1000.0,
             self.oracle_steals,
-            self.oracle_contention,
             self.oracle_batches,
             self.cone_hits,
             self.cone_misses,
@@ -275,8 +320,44 @@ mod tests {
             s.record_service(Duration::from_millis(ms));
         }
         let snap = s.snapshot();
-        assert_eq!(snap.p50_us, 50_000);
-        assert_eq!(snap.p99_us, 99_000);
+        // Each reads the top of the exact rank value's bucket.
+        assert_eq!(snap.p50_us, bucket_max(bucket_of(50_000)));
+        assert_eq!(snap.p99_us, bucket_max(bucket_of(99_000)));
+        assert!((50_000..50_000 + 50_000 / 16).contains(&snap.p50_us));
+        assert!((99_000..99_000 + 99_000 / 16).contains(&snap.p99_us));
+    }
+
+    #[test]
+    fn buckets_tile_every_u64() {
+        // Consecutive buckets meet, the first starts at 0 and the last
+        // ends at u64::MAX.
+        assert_eq!(bucket_of(0), 0);
+        for b in 0..BUCKETS - 1 {
+            assert_eq!(bucket_of(bucket_max(b)), b);
+            assert_eq!(bucket_of(bucket_max(b) + 1), b + 1);
+        }
+        assert_eq!(bucket_max(BUCKETS - 1), u64::MAX);
+    }
+
+    #[test]
+    fn a_million_samples_keep_the_store_size_and_percentiles() {
+        // The store is a fixed array with no heap part, so its size is
+        // its whole footprint.
+        let s = ServeStats::default();
+        let size = std::mem::size_of_val(&s.service_us);
+        const N: u64 = 1_000_000;
+        for us in 1..=N {
+            s.record_service(Duration::from_micros(us));
+        }
+        assert_eq!(std::mem::size_of_val(&s.service_us), size);
+        // Samples 1..=N µs: the exact rank values are p·N.
+        let snap = s.snapshot();
+        for (got, exact) in [(snap.p50_us, N / 2), (snap.p99_us, N / 100 * 99)] {
+            assert!(
+                bucket_of(got).abs_diff(bucket_of(exact)) <= 1,
+                "{got} µs is more than one bucket from {exact} µs"
+            );
+        }
     }
 
     #[test]
@@ -301,7 +382,6 @@ mod tests {
             in_flight: 1,
             queue_depth: 4,
             oracle_steals: 5,
-            oracle_contention: 6,
             oracle_batches: 7,
             p50_us: 1500,
             p99_us: 90_000,

@@ -7,6 +7,11 @@
 //! what the search finds — only how fast it finds it.) The small
 //! circuits fit one support-mask word and two cones; [`WIDE`] spans
 //! two words and eight cones.
+//!
+//! Every test sets `XRTA_OVERSUBSCRIBE`, which lifts the worker-slot
+//! clamp, so the multi-worker path runs on a one-core host too. No
+//! test removes it: each equality here holds at any worker count, and
+//! a removal would race with the other tests of this binary.
 
 use xrta::circuits::{random_circuit, RandomCircuitSpec};
 use xrta::prelude::*;
@@ -28,9 +33,8 @@ fn seeds() -> impl Iterator<Item = u64> {
 
 /// A circuit wider than one 64-input support-mask word (some of its
 /// cones read inputs past the 64th), with enough cones that rounds
-/// carry several batches and speculation plans across both mask words.
-/// Its climb takes 728 oracle calls at one thread and reaches a
-/// non-trivial point.
+/// carry several batches for the helpers to take. Its climb takes 728
+/// oracle calls at one thread and reaches a non-trivial point.
 const WIDE: RandomCircuitSpec = RandomCircuitSpec {
     inputs: 72,
     gates: 90,
@@ -56,8 +60,10 @@ fn opts(threads: usize) -> Approx2Options {
 
 #[test]
 fn parallel_and_sequential_find_identical_maximal_sets() {
+    std::env::set_var("XRTA_OVERSUBSCRIBE", "1");
     for case in cases() {
         let seed = case.seed;
+        let wide = case.inputs == WIDE.inputs;
         let net = random_circuit(case).expect("valid spec");
         let req = vec![Time::ZERO; net.outputs().len()];
         let seq = approx2_required_times(&net, &UnitDelay, &req, opts(1));
@@ -68,16 +74,19 @@ fn parallel_and_sequential_find_identical_maximal_sets() {
                 "threads {threads} diverged (seed {seed})"
             );
             assert_eq!(seq.r_bottom, par.r_bottom, "seed {seed}");
+            // Past the warm-up, so the comparison is serial against
+            // helpers, not serial against serial.
+            assert!(
+                !wide || par.steals > 0,
+                "no batch ran on a helper at {threads} threads (seed {seed})"
+            );
         }
     }
 }
 
 /// Thread count must not leak into the *analysis content* at all: the
 /// rendered latest conditions — the user-visible report — must be
-/// byte-identical at 1, 2, 4 and 8 threads. `XRTA_OVERSUBSCRIBE` lifts
-/// the worker-slot clamp so helper threads genuinely run even on a
-/// single-core machine (other tests in this binary tolerate the flag:
-/// their equalities hold for any worker count).
+/// byte-identical at 1, 2, 4 and 8 threads.
 #[test]
 fn rendered_report_is_byte_identical_across_thread_counts() {
     std::env::set_var("XRTA_OVERSUBSCRIBE", "1");
@@ -97,11 +106,11 @@ fn rendered_report_is_byte_identical_across_thread_counts() {
             );
         }
     }
-    std::env::remove_var("XRTA_OVERSUBSCRIBE");
 }
 
 #[test]
 fn parallel_maximal_points_are_safe_and_unraisable() {
+    std::env::set_var("XRTA_OVERSUBSCRIBE", "1");
     for threads in [1usize, 4] {
         for case in cases() {
             let seed = case.seed;
