@@ -48,9 +48,6 @@ pub struct BatchOptions {
     pub fallback: bool,
     /// χ engine for approx2 oracle queries.
     pub engine: EngineKind,
-    /// approx2 worker threads. The default of 1 keeps injected-fault
-    /// schedules (which count hits globally) deterministic.
-    pub threads: usize,
     /// Failpoint schedule, re-armed per attempt with a seed derived
     /// from `(seed, job, attempt)`. Requires the `failpoints` feature.
     pub failpoints: Option<String>,
@@ -85,7 +82,6 @@ impl Default for BatchOptions {
             default_timeout: None,
             fallback: true,
             engine: EngineKind::Sat,
-            threads: 1,
             failpoints: None,
             route: None,
             cancel: None,
@@ -323,7 +319,6 @@ fn run_attempt_inner(spec: &JobSpec, attempt: u64, opts: &BatchOptions) -> Attem
         fallback: opts.fallback,
         approx2: Approx2Options {
             engine: opts.engine,
-            threads: opts.threads,
             ..Approx2Options::default()
         },
         ..SessionOptions::default()

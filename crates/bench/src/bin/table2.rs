@@ -5,18 +5,11 @@
 //! Columns as in the paper: whether non-trivial required times were
 //! found, CPU time until the first `r ≠ r⊥`, and CPU time for the whole
 //! analysis (or `> budget`, standing in for the paper's `> 12 hours`) —
-//! plus the oracle-call and cache statistics of the cone-parallel
-//! oracle.
+//! plus the oracle-call and cache statistics of the per-cone oracle.
 //!
-//! Rows run concurrently (`--jobs`, default: available parallelism),
-//! each with `--threads` oracle workers (`@N`); `--compare` also runs
-//! each row at one thread (`@1`). Every run is appended to a
-//! machine-readable JSON report (`--json`, default
-//! `BENCH_reqtime.json`).
-//!
-//! With `--compare`, each `@N` row also reports `speedup_vs_serial`
-//! (`@1` wall / `@N` wall) and `oracle_call_ratio` (`@N` calls / `@1`
-//! calls) — the two scaling invariants of the parallel oracle.
+//! Each row is one search. Rows run concurrently (`--jobs`, default:
+//! available parallelism), and every row lands in a machine-readable
+//! JSON report (`--json`, default `BENCH_reqtime.json`).
 //! `--baseline OLD.json` diffs the fresh run against a previous report
 //! and prints per-circuit wall/call regressions.
 //!
@@ -24,13 +17,13 @@
 //!
 //! ```text
 //! table2 [--budget-secs S] [--rows C432,C6288,...] [--jobs J]
-//!        [--threads T] [--compare] [--json PATH] [--baseline OLD.json]
+//!        [--json PATH] [--baseline OLD.json]
 //! ```
 
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use xrta_bench::{print_table, run_approx2_with, zero_required, RunOutcome};
+use xrta_bench::{print_table, run_approx2, zero_required, RunOutcome};
 use xrta_circuits::{carry_skip_adder, iscas_rows, ripple_carry_adder};
 use xrta_core::slice_cones;
 use xrta_network::Network;
@@ -38,11 +31,9 @@ use xrta_resynth::{resynthesize, DelaySpec, ResynthOptions};
 use xrta_robust::jsonflat::{escape, Fields};
 use xrta_timing::UnitDelay;
 
-/// One (circuit, configuration) run for the table and the JSON report.
+/// One circuit's run for the table and the JSON report.
 struct Record {
     circuit: String,
-    config: &'static str,
-    threads: usize,
     nontrivial: bool,
     completed: bool,
     first_s: Option<f64>,
@@ -50,7 +41,6 @@ struct Record {
     oracle_calls: usize,
     cache_hits: usize,
     cache_hit_rate: f64,
-    steals: usize,
     batches: usize,
     batched_probes: usize,
     /// Output cones the incremental (delta) path would slice this
@@ -63,11 +53,6 @@ struct Record {
     /// Cones answered from an earlier cone's verdict within one pass:
     /// `cones - cone_distinct`, the intra-netlist cone-hit floor.
     cone_dup_hits: usize,
-    /// `@1` wall / this wall, for `@N` rows when the serial twin ran in
-    /// the same invocation (`--compare`).
-    speedup_vs_serial: Option<f64>,
-    /// This run's oracle calls / `@1` calls, same conditions.
-    oracle_call_ratio: Option<f64>,
     /// High-water mark of the process-global memory meter over this
     /// row's run, bytes. Rows share one meter, so with `--jobs > 1`
     /// concurrent rows inflate each other's peaks — compare across
@@ -148,23 +133,16 @@ fn render_json(budget: Duration, records: &[Record], resynth: &[ResynthRecord]) 
             .first_s
             .map(|s| format!("{s:.4}"))
             .unwrap_or_else(|| "null".to_string());
-        let opt = |v: Option<f64>| {
-            v.map(|x| format!("{x:.4}"))
-                .unwrap_or_else(|| "null".to_string())
-        };
         let _ = writeln!(
             out,
-            "    {{\"circuit\": \"{}\", \"config\": \"{}\", \"threads\": {}, \
+            "    {{\"circuit\": \"{}\", \
              \"nontrivial\": {}, \"completed\": {}, \
              \"first_nontrivial_secs\": {}, \"wall_secs\": {:.4}, \
              \"oracle_calls\": {}, \"cache_hits\": {}, \"cache_hit_rate\": {:.4}, \
-             \"steals\": {}, \"batches\": {}, \"batched_probes\": {}, \
+             \"batches\": {}, \"batched_probes\": {}, \
              \"cones\": {}, \"cone_distinct\": {}, \"cone_dup_hits\": {}, \
-             \"speedup_vs_serial\": {}, \"oracle_call_ratio\": {}, \
              \"peak_mem\": {}}}{}",
             escape(&r.circuit),
-            r.config,
-            r.threads,
             r.nontrivial,
             r.completed,
             first,
@@ -172,14 +150,11 @@ fn render_json(budget: Duration, records: &[Record], resynth: &[ResynthRecord]) 
             r.oracle_calls,
             r.cache_hits,
             r.cache_hit_rate,
-            r.steals,
             r.batches,
             r.batched_probes,
             r.cones,
             r.cone_distinct,
             r.cone_dup_hits,
-            opt(r.speedup_vs_serial),
-            opt(r.oracle_call_ratio),
             r.peak_mem,
             if k + 1 == records.len() { "" } else { "," }
         );
@@ -207,10 +182,10 @@ fn render_json(budget: Duration, records: &[Record], resynth: &[ResynthRecord]) 
     out
 }
 
-/// One row of a previous report: `(circuit, config, wall_secs,
-/// oracle_calls, peak_mem)`. `peak_mem` is 0 for reports written
-/// before the column existed.
-type BaselineRow = (String, String, f64, usize, u64);
+/// One row of a previous report: `(circuit, wall_secs, oracle_calls,
+/// peak_mem)`. `peak_mem` is 0 for reports written before the column
+/// existed.
+type BaselineRow = (String, f64, usize, u64);
 
 /// The row objects carrying `key` in a report this binary wrote
 /// earlier. Every row is one flat object on its own line, so each line
@@ -223,20 +198,18 @@ fn report_rows(text: &str, key: &str) -> Vec<Fields> {
 }
 
 /// Extracts the circuit rows of a previous report. Reports written
-/// while the cache strategy was a setting label their rows
-/// `dominance@1`/`dominance@N` (the one strategy left) and
-/// `exact@1`; the former read as `@1`/`@N`, the latter match nothing.
+/// while the oracle had a thread count label their rows with a
+/// `config`: `@1` (one thread) and `@N`, or, while the cache strategy
+/// was a setting too, `dominance@1`, `dominance@N` and `exact@1`. The
+/// one-thread dominance rows are the searches the current rows run;
+/// the others are dropped.
 fn parse_baseline(text: &str) -> Vec<BaselineRow> {
     report_rows(text, "circuit")
         .iter()
+        .filter(|f| matches!(f.opt("config"), None | Some("@1" | "dominance@1")))
         .filter_map(|f| {
-            let config = f.opt("config")?;
             Some((
                 f.opt("circuit")?.to_string(),
-                config
-                    .strip_prefix("dominance")
-                    .unwrap_or(config)
-                    .to_string(),
                 f.opt("wall_secs")?.parse().ok()?,
                 f.opt("oracle_calls")?.parse().ok()?,
                 f.opt("peak_mem").and_then(|v| v.parse().ok()).unwrap_or(0),
@@ -261,9 +234,7 @@ fn print_baseline_diff(baseline: &[BaselineRow], records: &[Record]) {
     let mut rows = Vec::new();
     let mut regressions = 0;
     for r in records {
-        let Some((_, _, old_wall, old_calls, old_mem)) = baseline
-            .iter()
-            .find(|(c, cfg, _, _, _)| *c == r.circuit && *cfg == r.config)
+        let Some((_, old_wall, old_calls, old_mem)) = baseline.iter().find(|b| b.0 == r.circuit)
         else {
             continue;
         };
@@ -290,7 +261,6 @@ fn print_baseline_diff(baseline: &[BaselineRow], records: &[Record]) {
         }
         rows.push(vec![
             r.circuit.clone(),
-            r.config.to_string(),
             format!("{old_wall:.2}"),
             format!("{:.2}", r.wall_s),
             format!("{:+.0}%", (wall_delta - 1.0) * 100.0),
@@ -309,7 +279,6 @@ fn print_baseline_diff(baseline: &[BaselineRow], records: &[Record]) {
     print_table(
         &[
             "circuit",
-            "config",
             "wall old",
             "wall new",
             "wall Δ",
@@ -399,8 +368,6 @@ fn main() {
     let mut budget = Duration::from_secs(120);
     let mut row_filter: Option<Vec<String>> = None;
     let mut jobs = host;
-    let mut threads = host;
-    let mut compare = false;
     let mut json_path = "BENCH_reqtime.json".to_string();
     let mut baseline_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
@@ -428,13 +395,6 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .expect("--jobs needs a number");
             }
-            "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threads needs a number");
-            }
-            "--compare" => compare = true,
             "--json" => {
                 json_path = args.next().expect("--json needs a path");
             }
@@ -448,36 +408,23 @@ fn main() {
         }
     }
     let jobs = jobs.max(1);
-    let threads = threads.max(1);
 
     println!("Table 2: Required Time Computation — ISCAS (approx 2)");
     println!("(surrogate circuits; unit delay; req(PO) = 0; see DESIGN.md §3)");
-    println!("per-row budget = {budget:?}, row jobs = {jobs}, oracle threads = {threads}\n");
+    println!("per-row budget = {budget:?}, row jobs = {jobs}\n");
 
-    // Configurations per row: one oracle thread and `--threads`, or
-    // just the latter.
-    let configs: Vec<(&'static str, usize)> = if compare {
-        vec![("@1", 1), ("@N", threads)]
-    } else {
-        vec![("@N", threads)]
-    };
-
-    let work: Vec<(String, &'static str, usize)> = iscas_rows()
+    let work: Vec<String> = iscas_rows()
         .iter()
         .filter(|row| {
             row_filter
                 .as_ref()
                 .is_none_or(|f| f.iter().any(|n| n == row.name))
         })
-        .flat_map(|row| {
-            configs
-                .iter()
-                .map(|&(label, t)| (row.name.to_string(), label, t))
-        })
+        .map(|row| row.name.to_string())
         .collect();
 
-    // Run the (circuit, config) items concurrently across `jobs`
-    // workers; results land by index so the table stays in row order.
+    // Run the rows concurrently across `jobs` workers; results land by
+    // index so the table stays in row order.
     let mut records: Vec<Option<Record>> = Vec::new();
     records.resize_with(work.len(), || None);
     let workers = jobs.min(work.len()).max(1);
@@ -487,11 +434,11 @@ fn main() {
                 let work = &work;
                 s.spawn(move || {
                     let mut done = Vec::new();
-                    for (k, (name, label, t)) in work.iter().enumerate() {
+                    for (k, name) in work.iter().enumerate() {
                         if k % workers != w {
                             continue;
                         }
-                        eprintln!("running {name} [{label}] ...");
+                        eprintln!("running {name} ...");
                         let row = iscas_rows()
                             .into_iter()
                             .find(|r| r.name == name)
@@ -506,14 +453,12 @@ fn main() {
                         drop(slices);
                         let meter = xrta_robust::mem::global();
                         meter.reset_peaks();
-                        let rep = run_approx2_with(&net, budget, *t);
+                        let rep = run_approx2(&net, budget);
                         let peak_mem = meter.total_peak();
                         done.push((
                             k,
                             Record {
                                 circuit: name.clone(),
-                                config: label,
-                                threads: rep.threads_used,
                                 nontrivial: rep.outcome.nontrivial(),
                                 completed: matches!(rep.outcome, RunOutcome::Done { .. }),
                                 first_s: rep.first_nontrivial.map(|d| d.as_secs_f64()),
@@ -521,14 +466,11 @@ fn main() {
                                 oracle_calls: rep.oracle_calls,
                                 cache_hits: rep.cache_hits,
                                 cache_hit_rate: rep.cache_hit_rate,
-                                steals: rep.steals,
                                 batches: rep.batches,
                                 batched_probes: rep.batched_probes,
                                 cones,
                                 cone_distinct,
                                 cone_dup_hits: cones - cone_distinct,
-                                speedup_vs_serial: None,
-                                oracle_call_ratio: None,
                                 peak_mem,
                             },
                         ));
@@ -543,35 +485,13 @@ fn main() {
             }
         }
     });
-    let mut records: Vec<Record> = records.into_iter().flatten().collect();
-
-    // Scaling invariants: relate every `@N` row to its serial twin from
-    // the same invocation.
-    let serial: Vec<(String, f64, usize)> = records
-        .iter()
-        .filter(|r| r.config == "@1")
-        .map(|r| (r.circuit.clone(), r.wall_s, r.oracle_calls))
-        .collect();
-    for r in &mut records {
-        if r.config != "@N" {
-            continue;
-        }
-        if let Some((_, w1, c1)) = serial.iter().find(|(c, _, _)| *c == r.circuit) {
-            if r.wall_s > 0.0 {
-                r.speedup_vs_serial = Some(w1 / r.wall_s);
-            }
-            if *c1 > 0 {
-                r.oracle_call_ratio = Some(r.oracle_calls as f64 / *c1 as f64);
-            }
-        }
-    }
+    let records: Vec<Record> = records.into_iter().flatten().collect();
 
     let rows: Vec<Vec<String>> = records
         .iter()
         .map(|r| {
             vec![
                 r.circuit.clone(),
-                r.config.to_string(),
                 if r.nontrivial { "Yes" } else { "No" }.to_string(),
                 r.first_s
                     .map(|s| format!("{s:.2}"))
@@ -584,12 +504,6 @@ fn main() {
                 r.oracle_calls.to_string(),
                 format!("{} ({:.0}%)", r.cache_hits, 100.0 * r.cache_hit_rate),
                 format!("{} ({})", r.cones, r.cone_distinct),
-                r.speedup_vs_serial
-                    .map(|s| format!("{s:.2}x"))
-                    .unwrap_or_else(|| "-".to_string()),
-                r.oracle_call_ratio
-                    .map(|s| format!("{s:.2}"))
-                    .unwrap_or_else(|| "-".to_string()),
                 format!("{:.1}M", r.peak_mem as f64 / (1 << 20) as f64),
             ]
         })
@@ -597,15 +511,12 @@ fn main() {
     print_table(
         &[
             "circuit",
-            "config",
             "Non-trivial required time?",
             "CPU time first r != r_bot (s)",
             "CPU time r_max (s)",
             "oracle calls",
             "cache hits",
             "cones (distinct)",
-            "speedup",
-            "call ratio",
             "peak mem",
         ],
         &rows,
@@ -660,11 +571,9 @@ fn main() {
 mod tests {
     use super::*;
 
-    fn record(circuit: &str, config: &'static str, wall_s: f64, oracle_calls: usize) -> Record {
+    fn record(circuit: &str, wall_s: f64, oracle_calls: usize) -> Record {
         Record {
             circuit: circuit.to_string(),
-            config,
-            threads: 2,
             nontrivial: true,
             completed: true,
             first_s: Some(0.5),
@@ -672,24 +581,18 @@ mod tests {
             oracle_calls,
             cache_hits: 3,
             cache_hit_rate: 0.25,
-            steals: 0,
             batches: 2,
             batched_probes: 4,
             cones: 7,
             cone_distinct: 5,
             cone_dup_hits: 2,
-            speedup_vs_serial: None,
-            oracle_call_ratio: Some(1.0),
             peak_mem: 3 << 20,
         }
     }
 
     #[test]
     fn rendered_report_reads_back_as_a_baseline() {
-        let records = [
-            record("C432", "@1", 1.25, 40),
-            record("C880", "@N", 0.5, 12),
-        ];
+        let records = [record("C432", 1.25, 40), record("C880", 0.5, 12)];
         let resynth = [ResynthRecord {
             netlist: "rca8".to_string(),
             worst_before: 17,
@@ -703,8 +606,8 @@ mod tests {
         assert_eq!(
             parse_baseline(&text),
             vec![
-                ("C432".to_string(), "@1".to_string(), 1.25, 40, 3 << 20),
-                ("C880".to_string(), "@N".to_string(), 0.5, 12, 3 << 20),
+                ("C432".to_string(), 1.25, 40, 3 << 20),
+                ("C880".to_string(), 0.5, 12, 3 << 20),
             ]
         );
         assert_eq!(
@@ -714,17 +617,34 @@ mod tests {
     }
 
     #[test]
-    fn older_reports_map_dominance_rows_onto_the_current_configs() {
+    fn older_reports_map_dominance_rows_onto_the_current_rows() {
         let old = "  \"rows\": [\n    {\"circuit\": \"C432\", \"config\": \"exact@1\", \
                    \"cache\": \"exact\", \"wall_secs\": 0.0059, \"oracle_calls\": 64},\n    \
                    {\"circuit\": \"C432\", \"config\": \"dominance@1\", \"cache\": \"dominance\", \
-                   \"wall_secs\": 0.0019, \"oracle_calls\": 52}\n  ],\n";
+                   \"wall_secs\": 0.0019, \"oracle_calls\": 52},\n    \
+                   {\"circuit\": \"C432\", \"config\": \"dominance@N\", \"cache\": \"dominance\", \
+                   \"wall_secs\": 0.0017, \"oracle_calls\": 55}\n  ],\n";
         assert_eq!(
             parse_baseline(old),
-            vec![
-                ("C432".to_string(), "exact@1".to_string(), 0.0059, 64, 0),
-                ("C432".to_string(), "@1".to_string(), 0.0019, 52, 0),
-            ]
+            vec![("C432".to_string(), 0.0019, 52, 0)]
+        );
+    }
+
+    #[test]
+    fn one_thread_rows_of_thread_count_reports_map_onto_the_current_rows() {
+        // Two rows of a report written while rows ran at one oracle
+        // thread (`@1`) and at several (`@N`).
+        let old = "  \"rows\": [\n    {\"circuit\": \"C499\", \"config\": \"@1\", \"threads\": 1, \
+                   \"nontrivial\": false, \"first_nontrivial_secs\": null, \
+                   \"wall_secs\": 0.0012, \"oracle_calls\": 71, \"steals\": 0, \
+                   \"peak_mem\": 18704},\n    \
+                   {\"circuit\": \"C499\", \"config\": \"@N\", \"threads\": 2, \
+                   \"nontrivial\": false, \"first_nontrivial_secs\": null, \
+                   \"wall_secs\": 0.0013, \"oracle_calls\": 75, \"steals\": 4, \
+                   \"peak_mem\": 19704}\n  ],\n";
+        assert_eq!(
+            parse_baseline(old),
+            vec![("C499".to_string(), 0.0012, 71, 18704)]
         );
     }
 }

@@ -145,10 +145,6 @@ pub struct Approx2Report {
     pub cache_hits: usize,
     /// Fraction of safety queries answered without a χ-engine run.
     pub cache_hit_rate: f64,
-    /// Worker threads the search used.
-    pub threads_used: usize,
-    /// Oracle batches executed on helper threads.
-    pub steals: usize,
     /// Oracle batches executed (each shares one χ engine).
     pub batches: usize,
     /// Probes that rode a multi-rung batch (engine state reused).
@@ -156,14 +152,8 @@ pub struct Approx2Report {
 }
 
 /// Runs the lattice-climbing algorithm (§4.3) under a wall-clock budget
-/// with the default oracle configuration (automatic thread count).
+/// with Table 2's oracle options.
 pub fn run_approx2(net: &Network, budget: Duration) -> Approx2Report {
-    run_approx2_with(net, budget, 0)
-}
-
-/// Like [`run_approx2`] with an explicit thread count — the axis the
-/// Table-2 harness compares.
-pub fn run_approx2_with(net: &Network, budget: Duration, threads: usize) -> Approx2Report {
     let req = zero_required(net);
     let r = approx2_required_times_governed(
         net,
@@ -177,7 +167,6 @@ pub fn run_approx2_with(net: &Network, budget: Duration, threads: usize) -> Appr
             // (~20M propagations ≈ a few seconds).
             oracle_conflict_budget: Some(100_000),
             oracle_propagation_budget: Some(20_000_000),
-            threads,
             ..Approx2Options::default()
         },
         &Budget::unlimited().with_timeout(budget),
@@ -202,8 +191,6 @@ pub fn run_approx2_with(net: &Network, budget: Duration, threads: usize) -> Appr
         oracle_calls: r.oracle_calls,
         cache_hits: r.cache_hits,
         cache_hit_rate: r.cache_hit_rate(),
-        threads_used: r.threads_used,
-        steals: r.steals,
         batches: r.batches,
         batched_probes: r.batched_probes,
     }

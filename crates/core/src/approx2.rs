@@ -14,8 +14,10 @@
 //! gets its own standalone cone network ([`Network::extract_cone`]) with
 //! its own delay table, so each stability check runs a private χ engine
 //! over just that cone. The climb is sequential (each raise depends on
-//! the last verdict); its only parallel work is the cone checks of one
-//! **round**, the rungs of one coordinate under test:
+//! the last verdict), and so is each **round**, the cone checks of the
+//! rungs of one coordinate under test: they run one after another on
+//! the calling thread, so a rung one cone disproves is skipped by every
+//! later cone of the round.
 //!
 //! - **Batched probes** — every pending `(cone, rung)` probe of a round
 //!   is grouped by cone into one [`Batch`]. A batch's SAT probes share
@@ -24,27 +26,15 @@
 //!   batch's rung values, so learned clauses and the clause database
 //!   carry across the rungs of a batch instead of being rebuilt per
 //!   probe.
-//! - **One round queue** — a round's batches go on one shared FIFO
-//!   ([`RoundQueue`]), largest cone first, and the coordinator and the
-//!   helper threads drain it; the round ends when every batch has
-//!   reported. A round holds
-//!   at most one batch per cone and rounds are barriers, so no two
-//!   threads ever probe the same `(cone, projection)` at once.
-//! - **Warm-up** — helpers spawn only once [`WARMUP_ORACLE_CALLS`]
-//!   oracle calls have run inline ([`helpers_pay`]), so trivial
-//!   circuits never pay a thread spawn. The rule reads counts only,
-//!   never a clock, so which searches fan out never depends on how
-//!   fast the host happens to be.
+//! - **Round order** — a round's batches run in cone order until the
+//!   search has made [`WARMUP_ORACLE_CALLS`] oracle calls, and largest
+//!   cone first from then on ([`order_round`]). The rule reads counts
+//!   only, never a clock, so a search that no deadline stops makes the
+//!   same oracle calls on every run and every host.
 //! - **Per-cone frontiers** — cone verdicts are pure facts about
 //!   `(cone, projected arrivals)`, stored in one dominance frontier per
-//!   cone ([`StripedVerdictCache`]), each behind its own lock. A verdict
-//!   proven on any thread prunes every later probe of that cone.
-//! - **Deterministic merge** — the probe schedule is thread-count
-//!   independent (fixed ladder width [`LADDER_PROBES`], batches formed
-//!   in cone-index order, verdicts landed by rung slot, duplicate
-//!   maxima dropped min-attempt-index first), so the reported analysis
-//!   is byte-identical for every thread count. Parallelism changes how
-//!   *many* oracle calls run, never what the search concludes.
+//!   cone ([`ConeFrontiers`]). A verdict prunes every later probe of
+//!   that cone.
 //!
 //! Raising coordinate `i` only re-validates cones whose transitive
 //! input support contains `i` (precomputed
@@ -58,11 +48,7 @@
 //! gallops: next rung, top rung, then bisect the frontier.
 
 use std::cmp::Reverse;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use xrta_bdd::{BddError, FxHashMap};
@@ -71,20 +57,17 @@ use xrta_network::{Network, NodeId};
 use xrta_sat::StopReason;
 use xrta_timing::{required_times, DelayModel, TableDelay, Time};
 
+use crate::dominance::ConeFrontiers;
 use crate::governor::{AnalysisError, Budget};
 use crate::plan::plan_leaves;
-use crate::stripes::{plock, StripedVerdictCache};
 
-/// Rungs probed per bisection round of the galloping ascent. Fixed (not
-/// derived from the thread count) so the probe schedule — and with it
-/// the whole search transcript — is identical for every thread count.
-/// Two trisection probes per round also give every cone batch two rungs
-/// to amortise its χ engine over.
+/// Rungs probed per bisection round of the galloping ascent. Two
+/// trisection probes per round give every cone batch two rungs to
+/// amortise its χ engine over.
 const LADDER_PROBES: usize = 2;
 
-/// Oracle calls a search must run inline before helper threads may
-/// spawn. Trivial circuits finish their whole climb under this
-/// threshold and never pay thread-spawn or hand-off latency.
+/// Oracle calls a search makes with its rounds in cone order before
+/// it runs them largest cone first (see [`order_round`]).
 const WARMUP_ORACLE_CALLS: usize = 48;
 
 /// Options for the lattice-climbing analysis.
@@ -114,12 +97,6 @@ pub struct Approx2Options {
     /// every `k`-th candidate per input (always keeping the bottom and,
     /// when enabled, the ∞ top). 1 = no clustering.
     pub cluster_stride: usize,
-    /// Worker threads for cone validation. `0` = use
-    /// [`std::thread::available_parallelism`]; `1` = fully sequential.
-    /// Helpers spawn lazily, once the search has run
-    /// [`WARMUP_ORACLE_CALLS`] oracle calls inline; any value produces
-    /// the same analysis.
-    pub threads: usize,
 }
 
 impl Default for Approx2Options {
@@ -132,54 +109,8 @@ impl Default for Approx2Options {
             oracle_conflict_budget: None,
             oracle_propagation_budget: None,
             cluster_stride: 1,
-            threads: 0,
         }
     }
-}
-
-impl Approx2Options {
-    /// Resolves [`Approx2Options::threads`] (`0` → available
-    /// parallelism).
-    pub fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.threads
-        }
-    }
-
-    /// Worker slots the oracle provisions, the calling thread's
-    /// included: the configured thread count clamped to the machine's
-    /// parallelism. Cone probes are CPU-bound SAT/BDD solves, so
-    /// oversubscribing cores only adds context switching and hand-off
-    /// latency — a request for 4 threads on a 1-core box must run
-    /// exactly like a request for 1 (and does: the probe schedule is
-    /// thread-count independent). `oversubscribe` (`XRTA_OVERSUBSCRIBE`
-    /// set) lifts the clamp: the analysis stays correct under any
-    /// interleaving, so this exists to exercise and debug the
-    /// multi-worker path on small machines.
-    fn worker_slots(&self, oversubscribe: bool) -> usize {
-        if oversubscribe {
-            return self.effective_threads();
-        }
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        self.effective_threads().min(cores)
-    }
-}
-
-/// Whether a multi-batch round should go to the helper threads: only
-/// with more than one worker slot, once `calls` oracle calls (at least
-/// [`WARMUP_ORACLE_CALLS`]) have run inline. The rule reads counts,
-/// never a clock: a gate on the inline wall time per call kept cheap
-/// searches on one thread, whose wall then followed the host's speed
-/// from run to run, and let a search near its threshold fan out or not
-/// by the host's load (DESIGN.md §5f).
-fn helpers_pay(slots: usize, calls: usize) -> bool {
-    slots > 1 && calls >= WARMUP_ORACLE_CALLS
 }
 
 /// Result of the lattice-climbing analysis.
@@ -204,12 +135,11 @@ pub struct Approx2Result {
     /// without running a χ engine; a rung the frontiers settle counts
     /// one hit per cone it consulted.
     pub cache_hits: usize,
-    /// Worker threads the search was configured to use.
-    pub threads_used: usize,
-    /// Oracle batches executed on helper threads.
+    /// Always 0: every batch runs on the calling thread. Kept because
+    /// `benchmark/src/batch.rs` reads it.
     pub steals: usize,
-    /// Always 0: the verdict frontiers take one lock per cone and count
-    /// no waits on it. Kept because `benchmark/src/batch.rs` reads it.
+    /// Always 0: the verdict frontiers take no lock. Kept because
+    /// `benchmark/src/batch.rs` reads it.
     pub shard_contention: usize,
     /// Oracle batches executed (each shares one χ engine across its
     /// probes).
@@ -259,8 +189,8 @@ impl Approx2Result {
 }
 
 /// One output's standalone validation cone: a private network, delay
-/// table and support mask, so the cone's χ engine can run on any thread
-/// without touching shared state.
+/// table and support mask, so a probe's χ engine covers just that
+/// cone.
 struct Cone {
     /// The cone as its own network (inputs = the original PIs feeding
     /// it).
@@ -283,11 +213,10 @@ impl Cone {
     }
 }
 
-/// One unit of oracle work on the round queue: validate
-/// `rungs.len()` raises of one coordinate against one cone, sharing a
-/// single χ engine.
+/// One unit of oracle work in a round: validate `rungs.len()` raises
+/// of one coordinate against one cone, sharing a single χ engine.
 struct Batch {
-    /// Index into [`OracleShared::cones`].
+    /// Index into [`Search::cones`].
     cone: usize,
     /// Position of the raised coordinate within the cone's projection.
     vary: usize,
@@ -299,94 +228,77 @@ struct Batch {
     rungs: Vec<(usize, Time)>,
 }
 
-/// What one batch reports back. `verdicts` lands by rung slot;
-/// `None` marks probes skipped because the rung was already disproved
-/// by another cone, or cut off by a stop/budget condition.
-struct BatchOut {
-    verdicts: Vec<(usize, Option<bool>)>,
+/// Why a batch, or a round, left rungs unanswered. Verdicts themselves
+/// land in the cone frontiers and in [`Search::round_failed`].
+#[derive(Default)]
+struct Cut {
     /// Governor interrupt that must stop the whole search, if any.
     stop: Option<AnalysisError>,
-    /// Did an options-level cap (oracle calls / wall clock) cut this
-    /// batch short?
+    /// Did the oracle-call cap or an injected deadline fault cut it
+    /// short?
     truncated: bool,
-    /// Probes that panicked inside this batch.
-    panics: usize,
 }
 
-impl BatchOut {
-    /// The conservative result of a batch whose worker died outside the
-    /// per-probe containment: every probe reads "unsafe".
-    fn poisoned(batch: &Batch) -> Self {
-        BatchOut {
-            verdicts: batch.rungs.iter().map(|&(k, _)| (k, Some(false))).collect(),
-            stop: None,
-            truncated: false,
-            panics: batch.rungs.len(),
-        }
+/// Sorts a round's batches into the order they run in: cone order
+/// while fewer than [`WARMUP_ORACLE_CALLS`] oracle calls have run,
+/// largest cone first (by `cone_size`, stably) from then on.
+///
+/// Largest first pays on long searches: the deepest cone is the
+/// likeliest to disprove a rung, which every later batch of the round
+/// then skips (mult5 and mult4 take fewer oracle calls than in cone
+/// order). From the first call it costs memory: C6288's early raised
+/// rungs would build a large χ CNF on its 1409-node cone before the
+/// deadline, where cone order meets the deadline on a small cone
+/// (DESIGN.md §5f has the measurements).
+fn order_round(batches: &mut [Batch], cone_size: impl Fn(usize) -> usize, calls: usize) {
+    if calls >= WARMUP_ORACLE_CALLS {
+        batches.sort_by_key(|b| Reverse(cone_size(b.cone)));
     }
 }
 
-/// One round's batches as they move through [`RoundQueue`]: those not
-/// yet taken, oldest first, and the results of those done, each with
-/// its batch index.
-#[derive(Default)]
-struct Round {
-    todo: VecDeque<(usize, Batch)>,
-    done: Vec<(usize, BatchOut)>,
-    /// Set at shutdown: helpers exit instead of parking.
-    closed: bool,
+/// What the per-cone frontiers know about one rung (see
+/// [`Search::lookup_rung`]).
+enum RungLookup {
+    /// Unsafe by one cone's verdict, or safe by every relevant cone's.
+    Known(bool),
+    /// The relevant cones still unanswered.
+    Open(Vec<usize>),
 }
 
-/// The FIFO the coordinator and the helpers drain. One condvar rings
-/// for queued batches, landed results and shutdown alike; every waiter
-/// re-checks its own condition.
-#[derive(Default)]
-struct RoundQueue {
-    round: Mutex<Round>,
-    bell: Condvar,
-}
-
-impl RoundQueue {
-    fn lock(&self) -> MutexGuard<'_, Round> {
-        plock(&self.round)
-    }
-
-    fn wait<'a>(&self, round: MutexGuard<'a, Round>) -> MutexGuard<'a, Round> {
-        self.bell
-            .wait(round)
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// Everything a worker needs, shared by `Arc`: the cones, the verdict
-/// frontiers, the round queue and the global counters.
-struct OracleShared {
+/// One lattice search: the cones, the verdict frontiers and the
+/// counts.
+struct Search<'a> {
     cones: Vec<Cone>,
     options: Approx2Options,
-    /// The caller's budget (a clone, sharing its cancel flag), polled
-    /// between rounds and at probe entry; its deadline is installed
-    /// into every χ engine so a single long probe cannot blow through
-    /// it.
-    budget: Budget,
+    /// The caller's budget, polled between rounds and at batch entry;
+    /// its deadline is installed into every χ engine so a single long
+    /// probe cannot blow through it.
+    budget: &'a Budget,
     started: Instant,
-    cache: StripedVerdictCache,
-    oracle_calls: AtomicUsize,
-    batches: AtomicUsize,
-    batched_probes: AtomicUsize,
-    /// Batches executed by helper threads.
-    helper_batches: AtomicUsize,
-    /// Per-round bitmask of rung slots already proven unsafe by some
-    /// cone; lets every other cone skip its probes for that rung
-    /// (cross-cone short-circuit — the verdict is `false` either way).
-    round_failed: AtomicU64,
-    queue: RoundQueue,
+    frontiers: ConeFrontiers,
+    candidates: Vec<Vec<Time>>,
+    oracle_calls: usize,
+    batches: usize,
+    batched_probes: usize,
+    /// This round's bitmask of rung slots already proven unsafe by
+    /// some cone; the round's later batches skip those rungs (the
+    /// verdict is `false` either way).
+    round_failed: u64,
+    first_nontrivial: Option<Duration>,
+    out_of_budget: bool,
+    interrupted: Option<AnalysisError>,
+    worker_panics: usize,
 }
 
-impl OracleShared {
+impl Search<'_> {
+    fn project(&self, cone: usize, r: &[Time]) -> Vec<Time> {
+        self.cones[cone].input_pos.iter().map(|&p| r[p]).collect()
+    }
+
     /// Builds the batch's shared selector-guarded SAT engine, with the
     /// same fault-injection site the per-probe engines of the BDD path
     /// evaluate during construction.
-    fn build_engine(&self, batch: &Batch, values: &[Time]) -> Result<ChiSatEngine, BddError> {
+    fn build_engine(&self, batch: &Batch) -> Result<ChiSatEngine, BddError> {
         match xrta_robust::failpoint::eval("chi::construct") {
             Some(xrta_robust::failpoint::Outcome::Exhausted) => {
                 return Err(BddError::Capacity {
@@ -397,12 +309,13 @@ impl OracleShared {
             None => {}
         }
         let cone = &self.cones[batch.cone];
+        let values: Vec<Time> = batch.rungs.iter().map(|&(_, v)| v).collect();
         let mut eng = ChiSatEngine::new_varying(
             &cone.net,
             &cone.delays,
             batch.proj.clone(),
             batch.vary,
-            values.to_vec(),
+            values,
         );
         eng.set_conflict_budget(self.options.oracle_conflict_budget);
         eng.set_propagation_budget(self.options.oracle_propagation_budget);
@@ -412,254 +325,164 @@ impl OracleShared {
         Ok(eng)
     }
 
-    /// Checks `proj` against `cone` on a fresh per-probe engine of the
-    /// configured kind; `FunctionalTiming` reads an exhausted per-query
-    /// budget conservatively as unsafe for both kinds.
-    fn fresh_verdict(&self, cone: &Cone, proj: &[Time]) -> Result<bool, BddError> {
-        FunctionalTiming::new(&cone.net, &cone.delays, proj.to_vec(), self.options.engine)
-            .with_conflict_budget(self.options.oracle_conflict_budget)
-            .with_propagation_budget(self.options.oracle_propagation_budget)
-            .with_node_limit(self.budget.node_limit())
-            .with_mem_limit(self.budget.mem_limit())
-            .with_deadline(self.budget.deadline())
-            .with_cancel_flag(Some(self.budget.cancel_flag()))
-            .try_stable_by(cone.out, cone.required)
+    /// Checks rung `variant` of `batch`, whose projection is `proj`:
+    /// on the batch's shared SAT engine (built on its first probe), or
+    /// on a fresh per-probe BDD engine. An exhausted per-query budget
+    /// reads conservatively as unsafe for both kinds.
+    fn verdict(
+        &self,
+        batch: &Batch,
+        variant: usize,
+        proj: &[Time],
+        engine: &mut Option<ChiSatEngine>,
+    ) -> Result<bool, BddError> {
+        let cone = &self.cones[batch.cone];
+        if self.options.engine == EngineKind::Bdd {
+            return FunctionalTiming::new(&cone.net, &cone.delays, proj.to_vec(), EngineKind::Bdd)
+                .with_conflict_budget(self.options.oracle_conflict_budget)
+                .with_propagation_budget(self.options.oracle_propagation_budget)
+                .with_node_limit(self.budget.node_limit())
+                .with_mem_limit(self.budget.mem_limit())
+                .with_deadline(self.budget.deadline())
+                .with_cancel_flag(Some(self.budget.cancel_flag()))
+                .try_stable_by(cone.out, cone.required);
+        }
+        if engine.is_none() {
+            *engine = Some(self.build_engine(batch)?);
+        }
+        let eng = engine.as_mut().expect("engine just built");
+        match eng.check_stable_variant(&cone.net, cone.out, cone.required, variant) {
+            Stability::Stable => Ok(true),
+            Stability::Unstable => Ok(false),
+            Stability::Unknown => match eng.last_stop_reason() {
+                Some(StopReason::Deadline) => Err(BddError::Deadline),
+                Some(StopReason::Cancelled) => Err(BddError::Cancelled),
+                Some(StopReason::MemoryOut) => Err(BddError::MemoryOut),
+                // Conflict/propagation budget exhausted:
+                // conservatively not provably safe.
+                _ => Ok(false),
+            },
+        }
     }
-}
 
-/// How one cone probe ended (see [`run_probe`]).
-enum ProbeEnd {
-    /// The oracle-call cap was already spent; nothing ran.
-    Capped,
-    /// A verdict, now in the cone's frontier. `panicked` marks the
-    /// conservative "unsafe" of a probe that panicked.
-    Verdict { safe: bool, panicked: bool },
-    /// A deadline, cancellation or memory stop. It is not a fact about
-    /// the cone, so nothing was cached.
-    Interrupted(BddError),
-}
-
-/// One probe of `(cone, proj)`. Reserves one oracle call (undone on
-/// overshoot, so the final count never exceeds the cap even under
-/// concurrent reservation), evaluates the `approx2::cone`
-/// fault-injection site, runs `oracle` under `catch_unwind` and lands
-/// the outcome in the cone's frontier. A node-capacity verdict is
-/// deterministic and a panic reads conservatively, so both are cached
-/// as unsafe.
-fn run_probe(
-    shared: &OracleShared,
-    cone: usize,
-    proj: &[Time],
-    oracle: impl FnOnce() -> Result<bool, BddError>,
-) -> ProbeEnd {
-    let prior = shared.oracle_calls.fetch_add(1, Ordering::Relaxed);
-    if prior >= shared.options.max_oracle_calls {
-        shared.oracle_calls.fetch_sub(1, Ordering::Relaxed);
-        return ProbeEnd::Capped;
-    }
-    let run = catch_unwind(AssertUnwindSafe(|| {
-        // A `panic` schedule exercises the catch_unwind the same way a
-        // real poisoned cone would; `err`/`exhaust` forge the
-        // corresponding oracle failures.
-        match xrta_robust::failpoint::eval("approx2::cone") {
-            Some(xrta_robust::failpoint::Outcome::Exhausted) => {
-                return Err(BddError::Capacity {
-                    limit: shared.budget.node_limit().unwrap_or(usize::MAX),
-                })
-            }
-            Some(xrta_robust::failpoint::Outcome::ReturnError) => return Err(BddError::Deadline),
-            None => {}
+    /// One oracle call for rung `variant` of `batch` at `proj`. Counts
+    /// it against the oracle-call cap, evaluates the `approx2::cone`
+    /// fault-injection site, runs [`Search::verdict`] under
+    /// `catch_unwind` and lands the verdict in the cone's frontier. A
+    /// node-capacity verdict is deterministic and a panic reads
+    /// conservatively, so both are stored as unsafe. Returns `None`,
+    /// with `cut` saying why, when the cap is spent or a deadline,
+    /// cancellation or memory stop interrupted the probe; that is not
+    /// a fact about the cone, so nothing is stored.
+    fn probe(
+        &mut self,
+        batch: &Batch,
+        variant: usize,
+        proj: &[Time],
+        engine: &mut Option<ChiSatEngine>,
+        cut: &mut Cut,
+    ) -> Option<bool> {
+        if self.oracle_calls >= self.options.max_oracle_calls {
+            cut.truncated = true;
+            return None;
         }
-        oracle()
-    }));
-    let (safe, panicked) = match run {
-        Ok(Ok(safe)) => (safe, false),
-        Ok(Err(BddError::Capacity { .. })) => (false, false),
-        Ok(Err(e)) => return ProbeEnd::Interrupted(e),
-        Err(_) => (false, true),
-    };
-    shared.cache.insert(cone, proj, safe);
-    ProbeEnd::Verdict { safe, panicked }
-}
-
-/// Runs one batch on the calling thread. Every probe is individually
-/// contained (`catch_unwind`); verdicts are pure functions of
-/// `(cone, projection)` plus the per-query budgets, so any thread may
-/// execute any batch without affecting what the search concludes.
-fn execute_batch(shared: &OracleShared, batch: &Batch) -> BatchOut {
-    let cone = &shared.cones[batch.cone];
-    let values: Vec<Time> = batch.rungs.iter().map(|&(_, v)| v).collect();
-    let mut out = BatchOut {
-        verdicts: Vec::with_capacity(batch.rungs.len()),
-        stop: None,
-        truncated: false,
-        panics: 0,
-    };
-    shared.batches.fetch_add(1, Ordering::Relaxed);
-    if batch.rungs.len() > 1 {
-        shared
-            .batched_probes
-            .fetch_add(batch.rungs.len(), Ordering::Relaxed);
-    }
-    out.stop = shared.budget.check().err();
-    let mut engine: Option<ChiSatEngine> = None;
-    for (variant, &(k, value)) in batch.rungs.iter().enumerate() {
-        if out.stop.is_some() || out.truncated {
-            out.verdicts.push((k, None));
-            continue;
-        }
-        if shared.round_failed.load(Ordering::Relaxed) >> k & 1 == 1 {
-            // Another cone already disproved this rung; its verdict is
-            // settled, skip the solve.
-            out.verdicts.push((k, None));
-            continue;
-        }
-        let mut proj = batch.proj.clone();
-        proj[batch.vary] = value;
-        // An earlier rung of this batch may already settle this one
-        // (an unsafe lower rung dominates it).
-        if let Some(v) = shared.cache.query(batch.cone, &proj) {
-            if !v {
-                shared.round_failed.fetch_or(1 << k, Ordering::Relaxed);
-            }
-            out.verdicts.push((k, Some(v)));
-            continue;
-        }
-        let end = run_probe(shared, batch.cone, &proj, || match shared.options.engine {
-            EngineKind::Sat => {
-                if engine.is_none() {
-                    engine = Some(shared.build_engine(batch, &values)?);
+        self.oracle_calls += 1;
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            // A `panic` schedule exercises the catch_unwind the same way a
+            // real poisoned cone would; `err`/`exhaust` forge the
+            // corresponding oracle failures.
+            match xrta_robust::failpoint::eval("approx2::cone") {
+                Some(xrta_robust::failpoint::Outcome::Exhausted) => {
+                    return Err(BddError::Capacity {
+                        limit: self.budget.node_limit().unwrap_or(usize::MAX),
+                    })
                 }
-                let eng = engine.as_mut().expect("engine just built");
-                match eng.check_stable_variant(&cone.net, cone.out, cone.required, variant) {
-                    Stability::Stable => Ok(true),
-                    Stability::Unstable => Ok(false),
-                    Stability::Unknown => match eng.last_stop_reason() {
-                        Some(StopReason::Deadline) => Err(BddError::Deadline),
-                        Some(StopReason::Cancelled) => Err(BddError::Cancelled),
-                        Some(StopReason::MemoryOut) => Err(BddError::MemoryOut),
-                        // Conflict/propagation budget exhausted:
-                        // conservatively not provably safe.
-                        _ => Ok(false),
-                    },
+                Some(xrta_robust::failpoint::Outcome::ReturnError) => {
+                    return Err(BddError::Deadline)
                 }
+                None => {}
             }
-            EngineKind::Bdd => shared.fresh_verdict(cone, &proj),
-        });
-        let verdict = match end {
-            ProbeEnd::Verdict { safe, panicked } => {
-                if panicked {
-                    // Poisoned cone: drop the shared engine (its solver
-                    // state is suspect) and keep going.
-                    out.panics += 1;
-                    engine = None;
-                }
-                Some(safe)
-            }
-            ProbeEnd::Capped => {
-                out.truncated = true;
-                None
-            }
+            self.verdict(batch, variant, proj, engine)
+        }));
+        let safe = match run {
+            Ok(Ok(safe)) => safe,
+            Ok(Err(BddError::Capacity { .. })) => false,
             // The engine deadline is the budget's; a deadline stop
             // before it has passed is an injected fault, which
             // truncates the round rather than ending the search.
-            ProbeEnd::Interrupted(BddError::Deadline) => {
-                if shared
-                    .budget
-                    .deadline()
-                    .is_some_and(|d| Instant::now() >= d)
-                {
-                    out.stop = Some(AnalysisError::DeadlineExceeded);
+            Ok(Err(BddError::Deadline)) => {
+                if self.budget.deadline().is_some_and(|d| Instant::now() >= d) {
+                    cut.stop = Some(AnalysisError::DeadlineExceeded);
                 } else {
-                    out.truncated = true;
+                    cut.truncated = true;
                 }
-                None
+                return None;
             }
-            ProbeEnd::Interrupted(e) => {
-                out.stop = Some(e.into());
-                None
+            Ok(Err(e)) => {
+                cut.stop = Some(e.into());
+                return None;
+            }
+            Err(_) => {
+                // Poisoned cone: drop the shared engine (its solver
+                // state is suspect) and keep going.
+                self.worker_panics += 1;
+                *engine = None;
+                false
             }
         };
-        if verdict == Some(false) {
-            shared.round_failed.fetch_or(1 << k, Ordering::Relaxed);
-        }
-        out.verdicts.push((k, verdict));
+        self.frontiers.insert(batch.cone, proj, safe);
+        Some(safe)
     }
-    out
-}
 
-/// Helper-thread main loop: take the oldest queued batch, run it, land
-/// its result, and park when the queue is empty, until it closes.
-/// `execute_batch` contains probe panics itself; the outer net only
-/// exists so a batch that dies anyway still lands a (conservative)
-/// result and cannot wedge the round.
-fn helper_loop(shared: &OracleShared) {
-    let queue = &shared.queue;
-    let mut round = queue.lock();
-    loop {
-        if let Some((j, batch)) = round.todo.pop_front() {
-            drop(round);
-            let out = catch_unwind(AssertUnwindSafe(|| execute_batch(shared, &batch)))
-                .unwrap_or_else(|_| BatchOut::poisoned(&batch));
-            shared.helper_batches.fetch_add(1, Ordering::Relaxed);
-            round = queue.lock();
-            round.done.push((j, out));
-            queue.bell.notify_all();
-        } else if round.closed {
-            return;
-        } else {
-            round = queue.wait(round);
+    /// Runs one batch. A rung the round already disproved is skipped,
+    /// one the cone's frontier answers costs no oracle call, and every
+    /// other gets one [`Search::probe`]. Unsafe verdicts set the rung's
+    /// bit in [`Search::round_failed`].
+    fn execute_batch(&mut self, batch: &Batch) -> Cut {
+        let mut cut = Cut {
+            stop: self.budget.check().err(),
+            truncated: false,
+        };
+        self.batches += 1;
+        if batch.rungs.len() > 1 {
+            self.batched_probes += batch.rungs.len();
         }
-    }
-}
-
-/// What the per-cone frontiers know about one rung (see
-/// [`Search::lookup_rung`]).
-enum RungLookup {
-    /// Unsafe by one cone's verdict, or safe by every relevant cone's.
-    Known(bool),
-    /// The relevant cones still unanswered, with their projections.
-    Open(Vec<(usize, Vec<Time>)>),
-}
-
-struct Search {
-    shared: Arc<OracleShared>,
-    candidates: Vec<Vec<Time>>,
-    first_nontrivial: Option<Duration>,
-    out_of_budget: bool,
-    interrupted: Option<AnalysisError>,
-    worker_panics: usize,
-    /// Worker slots, the calling thread's included.
-    slots: usize,
-    /// Helper threads, spawned the first time [`helpers_pay`] holds.
-    helpers: Vec<JoinHandle<()>>,
-}
-
-impl Search {
-    fn project(&self, cone: usize, r: &[Time]) -> Vec<Time> {
-        self.shared.cones[cone]
-            .input_pos
-            .iter()
-            .map(|&p| r[p])
-            .collect()
+        let mut engine: Option<ChiSatEngine> = None;
+        for (variant, &(k, value)) in batch.rungs.iter().enumerate() {
+            if cut.stop.is_some() || cut.truncated || self.round_failed >> k & 1 == 1 {
+                continue;
+            }
+            let mut proj = batch.proj.clone();
+            proj[batch.vary] = value;
+            // An earlier rung of this batch may already settle this one
+            // (an unsafe lower rung dominates it).
+            let safe = match self.frontiers.query(batch.cone, &proj) {
+                Some(safe) => Some(safe),
+                None => self.probe(batch, variant, &proj, &mut engine, &mut cut),
+            };
+            if safe == Some(false) {
+                self.round_failed |= 1 << k;
+            }
+        }
+        cut
     }
 
     /// Answers raising coordinate `i` of the safe point `base` to `rung`
     /// from the per-cone frontiers, asking the cones that support `i` in
     /// cone order and stopping at the first unsafe one (every other
     /// cone's projection is `base`'s, known safe).
-    fn lookup_rung(&self, base: &[Time], i: usize, rung: Time) -> RungLookup {
+    fn lookup_rung(&mut self, base: &[Time], i: usize, rung: Time) -> RungLookup {
         let mut open = Vec::new();
         let raised = |&p: &usize| if p == i { rung } else { base[p] };
-        for (c, cone) in self.shared.cones.iter().enumerate() {
+        for (c, cone) in self.cones.iter().enumerate() {
             if !cone.supports(i) {
                 continue;
             }
             let proj: Vec<Time> = cone.input_pos.iter().map(raised).collect();
-            match self.shared.cache.query(c, &proj) {
+            match self.frontiers.query(c, &proj) {
                 Some(true) => {}
                 Some(false) => return RungLookup::Known(false),
-                None => open.push((c, proj)),
+                None => open.push(c),
             }
         }
         if open.is_empty() {
@@ -669,78 +492,22 @@ impl Search {
         }
     }
 
-    /// Spawns the helper threads (every worker slot but the calling
-    /// thread's), once.
-    fn spawn_helpers(&mut self) {
-        for w in 1..self.slots {
-            let shared = Arc::clone(&self.shared);
-            let handle = std::thread::Builder::new()
-                .name(format!("xrta-oracle-{w}"))
-                .spawn(move || helper_loop(&shared))
-                .expect("spawn oracle helper");
-            self.helpers.push(handle);
+    /// Runs one round's batches, in the order [`order_round`] gives,
+    /// and returns the first stop and whether any batch was cut short.
+    fn run_round(&mut self, mut batches: Vec<Batch>) -> Cut {
+        self.round_failed = 0;
+        order_round(
+            &mut batches,
+            |c| self.cones[c].net.node_count(),
+            self.oracle_calls,
+        );
+        let mut round = Cut::default();
+        for batch in &batches {
+            let cut = self.execute_batch(batch);
+            round.stop = round.stop.or(cut.stop);
+            round.truncated |= cut.truncated;
         }
-    }
-
-    /// Closes the round queue and joins the helpers. Rounds are
-    /// barriers, so the queue is empty and every helper is parked or
-    /// about to park.
-    fn shutdown(&mut self) {
-        self.shared.queue.lock().closed = true;
-        self.shared.queue.bell.notify_all();
-        for h in self.helpers.drain(..) {
-            let _ = h.join();
-        }
-    }
-
-    /// Executes one round of batches and collects every result, in
-    /// batch order (a barrier: the queue is empty again when this
-    /// returns). The batches run in cone order on the calling thread
-    /// until [`helpers_pay`] holds; from then on, every round of more
-    /// than one batch goes on the shared queue, largest cone first,
-    /// and the coordinator drains it alongside the helpers.
-    fn run_round(&mut self, batches: Vec<Batch>) -> Vec<BatchOut> {
-        self.shared.round_failed.store(0, Ordering::Relaxed);
-        let n = batches.len();
-        let engage = n > 1
-            && (!self.helpers.is_empty()
-                || helpers_pay(self.slots, self.shared.oracle_calls.load(Ordering::Relaxed)));
-        if !engage {
-            // One after another, so a later cone skips the rungs an
-            // earlier one disproved (`round_failed`).
-            return batches
-                .iter()
-                .map(|b| execute_batch(&self.shared, b))
-                .collect();
-        }
-        if self.helpers.is_empty() {
-            self.spawn_helpers();
-        }
-        // Largest cone first: the longest batches start early, so the
-        // barrier waits less on a late one, and the deepest cone, the
-        // likeliest to disprove a rung, lets the others skip it. In cone
-        // order, mult5 took 338 oracle calls at two threads; in this
-        // order 281, against 287 inline.
-        let mut todo: Vec<(usize, Batch)> = batches.into_iter().enumerate().collect();
-        todo.sort_by_key(|(_, b)| Reverse(self.shared.cones[b.cone].net.node_count()));
-        let queue = &self.shared.queue;
-        let mut round = queue.lock();
-        round.todo.extend(todo);
-        queue.bell.notify_all();
-        while round.done.len() < n {
-            if let Some((j, batch)) = round.todo.pop_front() {
-                drop(round);
-                let out = execute_batch(&self.shared, &batch);
-                round = queue.lock();
-                round.done.push((j, out));
-            } else {
-                round = queue.wait(round);
-            }
-        }
-        let mut outs = std::mem::take(&mut round.done);
-        drop(round);
-        outs.sort_unstable_by_key(|&(j, _)| j);
-        outs.into_iter().map(|(_, out)| out).collect()
+        round
     }
 
     /// Safety verdicts for raising coordinate `i` of the **safe** point
@@ -750,7 +517,7 @@ impl Search {
     /// when a budget stops evaluation.
     fn probe_rungs(&mut self, base: &[Time], i: usize, rungs: &[Time]) -> Option<Vec<bool>> {
         assert!(rungs.len() <= 64, "round bitmask width");
-        if let Err(e) = self.shared.budget.check() {
+        if let Err(e) = self.budget.check() {
             self.interrupted.get_or_insert(e);
             self.out_of_budget = true;
             return None;
@@ -758,15 +525,15 @@ impl Search {
         // Soft memory pressure: shed the verdict cache in place before
         // this round rather than letting the hard watermark end the
         // search. Verdicts are re-derivable, so this only costs refills.
-        if self.shared.budget.mem_limit().is_some_and(|limit| {
+        if self.budget.mem_limit().is_some_and(|limit| {
             xrta_robust::mem::global().pressure(limit) == xrta_robust::mem::Pressure::Soft
         }) {
-            self.shared.cache.reclaim();
+            self.frontiers.reclaim();
         }
         // Per rung: Some(verdict) once known, else the cones still
         // needing an oracle run.
         let mut verdicts: Vec<Option<bool>> = Vec::with_capacity(rungs.len());
-        let mut unresolved: Vec<Vec<(usize, Vec<Time>)>> = Vec::with_capacity(rungs.len());
+        let mut unresolved: Vec<Vec<usize>> = Vec::with_capacity(rungs.len());
         for &rung in rungs {
             let (verdict, todo) = match self.lookup_rung(base, i, rung) {
                 RungLookup::Known(safe) => (Some(safe), Vec::new()),
@@ -779,15 +546,15 @@ impl Search {
             // One batch per cone, in cone-index order, carrying every
             // rung that still needs this cone's verdict.
             let mut batches: Vec<Batch> = Vec::new();
-            for c in 0..self.shared.cones.len() {
+            for c in 0..self.cones.len() {
                 let pending: Vec<(usize, Time)> = (0..rungs.len())
-                    .filter(|&k| unresolved[k].iter().any(|(u, _)| *u == c))
+                    .filter(|&k| unresolved[k].contains(&c))
                     .map(|k| (k, rungs[k]))
                     .collect();
                 if pending.is_empty() {
                     continue;
                 }
-                let vary = self.shared.cones[c]
+                let vary = self.cones[c]
                     .input_pos
                     .iter()
                     .position(|&p| p == i)
@@ -799,35 +566,19 @@ impl Search {
                     rungs: pending,
                 });
             }
-            let outs = self.run_round(batches);
-            let mut rung_unsafe = vec![false; rungs.len()];
-            let mut stop: Option<AnalysisError> = None;
-            let mut truncated = false;
-            for out in outs {
-                self.worker_panics += out.panics;
-                for (k, v) in out.verdicts {
-                    if v == Some(false) {
-                        rung_unsafe[k] = true;
-                    }
-                }
-                if let Some(e) = out.stop {
-                    stop.get_or_insert(e);
-                }
-                truncated |= out.truncated;
-            }
-            if let Some(e) = stop {
+            let cut = self.run_round(batches);
+            if let Some(e) = cut.stop {
                 self.interrupted.get_or_insert(e);
                 self.out_of_budget = true;
                 return None;
             }
-            if truncated {
+            if cut.truncated {
                 self.out_of_budget = true;
                 return None;
             }
-            let failed_mask = self.shared.round_failed.load(Ordering::Relaxed);
             for (k, verdict) in verdicts.iter_mut().enumerate() {
                 if verdict.is_none() {
-                    *verdict = Some(!rung_unsafe[k] && failed_mask >> k & 1 == 0);
+                    *verdict = Some(self.round_failed >> k & 1 == 0);
                 }
             }
         }
@@ -835,7 +586,7 @@ impl Search {
         if verdicts.contains(&true) {
             // Every rung raises a coordinate of a safe point, so a safe
             // rung is a validated `r ≠ r⊥`.
-            let elapsed = self.shared.started.elapsed();
+            let elapsed = self.started.elapsed();
             self.first_nontrivial.get_or_insert(elapsed);
         }
         Some(verdicts)
@@ -845,10 +596,7 @@ impl Search {
     /// and returns whether it moved. A galloping ascent exploiting
     /// monotonicity: next rung, then top rung, then a binary search of
     /// the frontier in between, probing [`LADDER_PROBES`] evenly spaced
-    /// rungs per round. The probe width is fixed — never derived from
-    /// the thread count — so the search transcript is identical for
-    /// every thread count; parallelism only spreads a round's cone
-    /// batches across workers.
+    /// rungs per round.
     fn ascend(&mut self, r: &mut [Time], i: usize) -> bool {
         let cands = self.candidates[i].clone();
         let pos = cands.iter().position(|&c| c == r[i]).expect("on lattice");
@@ -924,7 +672,7 @@ impl Search {
     fn enumerate(&mut self, bottom: Vec<Time>) -> Vec<Vec<Time>> {
         let n = bottom.len().max(1);
         let mut maximal: Vec<Vec<Time>> = Vec::new();
-        let max_solutions = self.shared.options.max_solutions;
+        let max_solutions = self.options.max_solutions;
         for attempt in 0..max_solutions {
             if self.out_of_budget {
                 break;
@@ -963,8 +711,8 @@ impl Search {
 /// planning pass (the times at which χ leaves are referenced), whose
 /// minimum is the topological required time; `∞` is appended when
 /// [`Approx2Options::allow_never`] is set. See the module docs for the
-/// oracle architecture (per-cone engines, one round queue behind a cost
-/// gate, per-cone dominance frontiers).
+/// oracle architecture (per-cone engines, rounds run one batch after
+/// another in the warm-up order, per-cone dominance frontiers).
 ///
 /// # Panics
 ///
@@ -1085,29 +833,21 @@ pub fn approx2_required_times_governed<D: DelayModel>(
         .collect();
 
     let n_cones = cones.len();
-    let shared = Arc::new(OracleShared {
+    let mut search = Search {
         cones,
         options,
-        budget: budget.clone(),
+        budget,
         started,
-        cache: StripedVerdictCache::new(n_cones),
-        oracle_calls: AtomicUsize::new(0),
-        batches: AtomicUsize::new(0),
-        batched_probes: AtomicUsize::new(0),
-        helper_batches: AtomicUsize::new(0),
-        round_failed: AtomicU64::new(0),
-        queue: RoundQueue::default(),
-    });
-    let oversubscribe = std::env::var_os("XRTA_OVERSUBSCRIBE").is_some();
-    let mut search = Search {
-        shared: Arc::clone(&shared),
+        frontiers: ConeFrontiers::new(n_cones),
         candidates,
+        oracle_calls: 0,
+        batches: 0,
+        batched_probes: 0,
+        round_failed: 0,
         first_nontrivial: None,
         out_of_budget: false,
         interrupted: None,
         worker_panics: 0,
-        slots: options.worker_slots(oversubscribe),
-        helpers: Vec::new(),
     };
 
     // The bottom is safe by construction (topological analysis is
@@ -1115,7 +855,7 @@ pub fn approx2_required_times_governed<D: DelayModel>(
     // cannot make the search reject its own starting point.
     for c in 0..n_cones {
         let proj = search.project(c, &r_bottom);
-        shared.cache.insert(c, &proj, true);
+        search.frontiers.insert(c, &proj, true);
     }
 
     let maximal = if options.max_solutions <= 1 {
@@ -1127,8 +867,6 @@ pub fn approx2_required_times_governed<D: DelayModel>(
         }
         m
     };
-
-    search.shutdown();
 
     if search.interrupted == Some(AnalysisError::Interrupted) {
         // Cancellation means "stop, the caller no longer wants an
@@ -1143,13 +881,12 @@ pub fn approx2_required_times_governed<D: DelayModel>(
         candidates: search.candidates,
         first_nontrivial: search.first_nontrivial,
         total_time: started.elapsed(),
-        oracle_calls: shared.oracle_calls.load(Ordering::Relaxed),
-        cache_hits: shared.cache.hits(),
-        threads_used: options.effective_threads(),
-        steals: shared.helper_batches.load(Ordering::Relaxed),
+        oracle_calls: search.oracle_calls,
+        cache_hits: search.frontiers.hits(),
+        steals: 0,
         shard_contention: 0,
-        batches: shared.batches.load(Ordering::Relaxed),
-        batched_probes: shared.batched_probes.load(Ordering::Relaxed),
+        batches: search.batches,
+        batched_probes: search.batched_probes,
         spec_probes: 0,
         completed: !search.out_of_budget,
         stopped_by: search.interrupted,
@@ -1276,28 +1013,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_counts_agree() {
-        let net = mux_false_path();
-        let req = [Time::new(4)];
-        let run = |threads| {
-            approx2_required_times(
-                &net,
-                &UnitDelay,
-                &req,
-                Approx2Options {
-                    threads,
-                    ..Approx2Options::default()
-                },
-            )
-        };
-        let seq = run(1);
-        let par = run(4);
-        assert_eq!(seq.maximal, par.maximal);
-        assert_eq!(seq.r_bottom, par.r_bottom);
-        assert_eq!(par.threads_used, 4);
-    }
-
-    #[test]
     fn oracle_budget_respected() {
         let net = mux_false_path();
         let r = approx2_required_times(
@@ -1403,106 +1118,25 @@ mod tests {
         assert!(r.cache_hit_rate() > 0.0 && r.cache_hit_rate() < 1.0);
     }
 
-    /// `width` parallel mux-bypass slices sharing a select line and
-    /// chaining data inputs — enough cones and rungs to push the
-    /// oracle past its warm-up threshold.
-    fn wide_bypass(width: usize) -> Network {
-        let mut net = Network::new("wide");
-        let s = net.add_input("s").unwrap();
-        let xs: Vec<NodeId> = (0..=width)
-            .map(|i| net.add_input(format!("x{i}").as_str()).unwrap())
-            .collect();
-        for i in 0..width {
-            let b1 = net
-                .add_gate(format!("b1_{i}").as_str(), GateKind::Buf, &[xs[i]])
-                .unwrap();
-            let b2 = net
-                .add_gate(format!("b2_{i}").as_str(), GateKind::Buf, &[b1])
-                .unwrap();
-            let m1 = net
-                .add_gate(format!("m1_{i}").as_str(), GateKind::Mux, &[s, xs[i], b2])
-                .unwrap();
-            let z = net
-                .add_gate(format!("z{i}").as_str(), GateKind::Mux, &[s, m1, xs[i + 1]])
-                .unwrap();
-            net.mark_output(z);
-        }
-        net
-    }
-
     #[test]
-    fn oversubscribed_multiworker_agrees_with_serial() {
-        // The worker-slot clamp keeps the helpers unspawned on a
-        // one-core machine; lift it so they run on any host. Any
-        // interleaving must produce the serial analysis, and the shared
-        // frontiers must keep the parallel call count near the
-        // sequential level. The flag is never removed: every test here
-        // holds at any worker count.
-        // Thirty-two slices take 255 oracle calls at one thread, enough
-        // multi-batch rounds past the warm-up that a helper takes some
-        // even on a loaded host.
-        std::env::set_var("XRTA_OVERSUBSCRIBE", "1");
-        let net = wide_bypass(32);
-        let req = vec![Time::new(4); 32];
-        let run = |threads| {
-            approx2_required_times(
-                &net,
-                &UnitDelay,
-                &req,
-                Approx2Options {
-                    threads,
-                    ..Approx2Options::default()
-                },
-            )
+    fn rounds_run_in_cone_order_until_the_warm_up_then_largest_cone_first() {
+        let sizes = [3, 9, 1, 9];
+        let order = |calls| {
+            let mut batches: Vec<Batch> = (0..sizes.len())
+                .map(|cone| Batch {
+                    cone,
+                    vary: 0,
+                    proj: Vec::new(),
+                    rungs: Vec::new(),
+                })
+                .collect();
+            order_round(&mut batches, |c| sizes[c], calls);
+            batches.iter().map(|b| b.cone).collect::<Vec<_>>()
         };
-        let seq = run(1);
-        let par = run(4);
-        assert!(
-            seq.oracle_calls >= WARMUP_ORACLE_CALLS,
-            "circuit too small to engage helpers ({} calls)",
-            seq.oracle_calls
-        );
-        assert!(par.steals > 0, "no batch ran on a helper thread");
-        assert_eq!(seq.maximal, par.maximal);
-        assert_eq!(seq.candidates, par.candidates);
-        assert_eq!(seq.r_bottom, par.r_bottom);
-        // Batches run side by side cannot skip the rungs another cone is
-        // disproving at that moment, so the parallel count may exceed
-        // the serial one: with no cross-cone skip at all this climb
-        // makes 317 calls against 255. Frontiers that failed to share
-        // verdicts across threads would multiply the count instead.
-        assert!(
-            par.oracle_calls <= seq.oracle_calls + seq.oracle_calls / 4,
-            "parallel oracle calls {} exceed sequential {} by more than 25%",
-            par.oracle_calls,
-            seq.oracle_calls
-        );
-    }
-
-    #[test]
-    fn trivial_circuit_never_spawns_helpers() {
-        // The whole climb on this circuit needs far fewer oracle calls
-        // than the warm-up threshold, so the search must run entirely
-        // on the calling thread: no steals, no batched hand-offs.
-        let net = mux_false_path();
-        let r = approx2_required_times(
-            &net,
-            &UnitDelay,
-            &[Time::new(4)],
-            Approx2Options {
-                threads: 4,
-                ..Approx2Options::default()
-            },
-        );
-        assert!(r.oracle_calls < WARMUP_ORACLE_CALLS);
-        assert_eq!(r.steals, 0, "cold search must not engage the helpers");
-    }
-
-    #[test]
-    fn helpers_engage_after_the_warm_up() {
-        assert!(!helpers_pay(1, 1_000), "1 slot");
-        assert!(!helpers_pay(2, 47), "47 calls");
-        assert!(helpers_pay(2, 48), "48 calls");
-        assert!(helpers_pay(4, 1_000), "4 slots");
+        assert_eq!(order(0), [0, 1, 2, 3]);
+        assert_eq!(order(WARMUP_ORACLE_CALLS - 1), [0, 1, 2, 3]);
+        // Largest first; equal sizes keep cone order.
+        assert_eq!(order(WARMUP_ORACLE_CALLS), [1, 3, 0, 2]);
+        assert_eq!(order(10_000), [1, 3, 0, 2]);
     }
 }

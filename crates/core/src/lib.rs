@@ -68,7 +68,6 @@ mod plan;
 pub mod report;
 pub mod session;
 mod slack;
-pub mod stripes;
 mod types;
 
 pub use approx1::{
@@ -78,7 +77,7 @@ pub use approx2::{
     approx2_required_times, approx2_required_times_governed, Approx2Options, Approx2Result,
 };
 pub use cone::{analyze_cone, slice_cones, splice, ConeSlice};
-pub use dominance::DominanceCache;
+pub use dominance::{ConeFrontiers, DominanceCache};
 pub use exact::{exact_required_times, exact_required_times_governed, ExactAnalysis, ExactOptions};
 pub use flex::{
     coupled_flexibility, subcircuit_arrival_times, subcircuit_required_times, ArrivalClass,
@@ -95,6 +94,5 @@ pub use session::{
     run_with_fallback, Answer, RungAttempt, SessionAnswer, SessionOptions, SessionReport, Verdict,
 };
 pub use slack::{true_slack, TrueSlack};
-pub use stripes::StripedVerdictCache;
 pub use types::{RequiredTimeTuple, ValueTimes};
 pub use xrta_robust::failpoint;

@@ -74,12 +74,11 @@ pub fn render_approx2(net: &Network, result: &Approx2Result) -> String {
     let _ = writeln!(
         out,
         "lattice climb: {} maximal point(s), {} oracle call(s), \
-         {} cache hit(s) ({:.1}% hit rate), {} thread(s), complete: {}",
+         {} cache hit(s) ({:.1}% hit rate), complete: {}",
         result.maximal.len(),
         result.oracle_calls,
         result.cache_hits,
         100.0 * result.cache_hit_rate(),
-        result.threads_used,
         result.completed
     );
     let _ = writeln!(

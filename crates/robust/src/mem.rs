@@ -43,7 +43,9 @@ pub enum Subsystem {
     Sat,
     /// χ memoization tables (`xrta-chi`).
     ChiMemo,
-    /// Striped verdict cache (`xrta-core::stripes`).
+    /// The §4.3 per-cone verdict frontiers
+    /// (`xrta-core::dominance::ConeFrontiers`). The name is kept from
+    /// when they were lock stripes; the benchmark reads it.
     Stripes,
     /// Cone slices and splice state (`xrta-core::cone`).
     Cone,

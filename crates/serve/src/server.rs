@@ -27,7 +27,7 @@ use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -684,11 +684,10 @@ fn lead(
         run_with_fallback(&net, &UnitDelay, &req, a.algo, &opts)
     })?;
     if let SessionAnswer::Approx2(r) = &report.answer {
-        let add = |c: &AtomicU64, v: usize| {
-            c.fetch_add(v as u64, Ordering::Relaxed);
-        };
-        add(&shared.stats.oracle_steals, r.steals);
-        add(&shared.stats.oracle_batches, r.batches);
+        shared
+            .stats
+            .oracle_batches
+            .fetch_add(r.batches as u64, Ordering::Relaxed);
     }
     Ok(report.digest())
 }

@@ -42,9 +42,6 @@ pub struct ServeStats {
     pub in_flight: AtomicU64,
     /// Analyze requests currently waiting in the bounded queue.
     pub queue_depth: AtomicU64,
-    /// §4.3 oracle batches executed on helper threads, summed over
-    /// every approx-2 analysis this server ran.
-    pub oracle_steals: AtomicU64,
     /// Oracle batches executed (multi-rung, shared χ engine), summed
     /// over every approx-2 analysis.
     pub oracle_batches: AtomicU64,
@@ -143,7 +140,6 @@ impl ServeStats {
             errors: self.errors.load(Ordering::Relaxed),
             in_flight: self.in_flight.load(Ordering::Relaxed),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            oracle_steals: self.oracle_steals.load(Ordering::Relaxed),
             oracle_batches: self.oracle_batches.load(Ordering::Relaxed),
             p50_us: percentile(&counts, 0.50),
             p99_us: percentile(&counts, 0.99),
@@ -186,8 +182,6 @@ pub struct StatsSnapshot {
     pub in_flight: u64,
     /// See [`ServeStats::queue_depth`].
     pub queue_depth: u64,
-    /// See [`ServeStats::oracle_steals`].
-    pub oracle_steals: u64,
     /// See [`ServeStats::oracle_batches`].
     pub oracle_batches: u64,
     /// Median analyze service time, microseconds, read from the
@@ -223,7 +217,7 @@ impl StatsSnapshot {
             "{{\"status\":\"stats\",\"requests\":{},\"answered\":{},\"hits_mem\":{},\
              \"hits_disk\":{},\"misses\":{},\"computations\":{},\"sheds\":{},\
              \"shutdowns\":{},\"errors\":{},\"in_flight\":{},\"queue_depth\":{},\
-             \"oracle_steals\":{},\"oracle_batches\":{},\
+             \"oracle_batches\":{},\
              \"p50_us\":{},\"p99_us\":{},\
              \"cone_hits\":{},\"cone_misses\":{},\"cone_splices\":{},\
              \"sheds_memory\":{},\"mem_bytes\":{},\"mem_peak\":{}}}",
@@ -238,7 +232,6 @@ impl StatsSnapshot {
             self.errors,
             self.in_flight,
             self.queue_depth,
-            self.oracle_steals,
             self.oracle_batches,
             self.p50_us,
             self.p99_us,
@@ -266,7 +259,6 @@ impl StatsSnapshot {
             errors: f.get_u64("errors")?,
             in_flight: f.get_u64("in_flight")?,
             queue_depth: f.get_u64("queue_depth")?,
-            oracle_steals: f.get_u64("oracle_steals")?,
             oracle_batches: f.get_u64("oracle_batches")?,
             p50_us: f.get_u64("p50_us")?,
             p99_us: f.get_u64("p99_us")?,
@@ -286,7 +278,7 @@ impl StatsSnapshot {
         format!(
             "serve: {} requests | {} hits ({} mem, {} disk) | {} misses | \
              {} sheds | {} errors | p50 {:.1}ms p99 {:.1}ms | \
-             oracle {} steals {} batches | \
+             oracle {} batches | \
              cones: {} hit, {} miss, {} spliced | \
              mem_bytes {} mem_peak {}",
             self.requests,
@@ -298,7 +290,6 @@ impl StatsSnapshot {
             self.errors,
             self.p50_us as f64 / 1000.0,
             self.p99_us as f64 / 1000.0,
-            self.oracle_steals,
             self.oracle_batches,
             self.cone_hits,
             self.cone_misses,
@@ -381,7 +372,6 @@ mod tests {
             errors: 0,
             in_flight: 1,
             queue_depth: 4,
-            oracle_steals: 5,
             oracle_batches: 7,
             p50_us: 1500,
             p99_us: 90_000,

@@ -2,7 +2,7 @@
 //!
 //! [`check_case`] runs one netlist through the whole analysis matrix —
 //! functional timing (BDD and SAT χ-backends), `approx2` (both
-//! backends, serial and threaded, governed and ungoverned), `approx1`
+//! backends, governed and ungoverned), `approx1`
 //! and `exact` — and validates each answer against the brute-force
 //! oracle of [`crate::oracle`], plus the paper's ordering lattice
 //!
@@ -55,8 +55,8 @@ pub enum Fault {
 /// Knobs for [`check_case`].
 #[derive(Clone, Debug)]
 pub struct CheckOptions {
-    /// Run the full engine matrix (BDD backend, two worker threads,
-    /// governed variants) rather than just the serial SAT baseline.
+    /// Run the full engine matrix (BDD backend, governed variants)
+    /// rather than just the SAT baseline.
     pub matrix: bool,
     /// BDD node budget for the exact rung (capacity overruns skip the
     /// exact checks rather than failing them).
@@ -210,24 +210,15 @@ fn check_approx2(
 ) -> Vec<Vec<Time>> {
     let base_opts = Approx2Options {
         engine: EngineKind::Sat,
-        threads: 1,
         ..Approx2Options::default()
     };
     let mut configs: Vec<(&'static str, Approx2Options, Budget)> =
-        vec![("sat-serial", base_opts, Budget::unlimited())];
+        vec![("sat", base_opts, Budget::unlimited())];
     if opts.matrix {
         configs.push((
-            "bdd-serial",
+            "bdd",
             Approx2Options {
                 engine: EngineKind::Bdd,
-                ..base_opts
-            },
-            Budget::unlimited(),
-        ));
-        configs.push((
-            "sat-threaded",
-            Approx2Options {
-                threads: 2,
                 ..base_opts
             },
             Budget::unlimited(),
@@ -277,7 +268,7 @@ fn check_approx2(
                 fail(
                     out,
                     "approx2-agreement",
-                    format!("{label} disagrees with sat-serial on the maximal set"),
+                    format!("{label} disagrees with sat on the maximal set"),
                 );
             }
         }

@@ -10,8 +10,8 @@
 //!   no χ-functions — giving ground truth for true arrival times,
 //!   condition safety and per-minterm maximal required-time tuples.
 //! * [`harness`] — the differential matrix: functional timing (BDD and
-//!   SAT backends), `approx2` (both backends, serial/threaded,
-//!   governed/ungoverned), `approx1` and `exact`, each validated
+//!   SAT backends), `approx2` (both backends, governed/ungoverned),
+//!   `approx1` and `exact`, each validated
 //!   against the oracle and against the ordering lattice
 //!   `exact ⊒ approx1 ⊒ approx2 ⊒ topological`. Includes the engine
 //!   differential's per-case step [`harness::fuzz`] and deliberate

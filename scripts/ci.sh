@@ -36,7 +36,7 @@ restore_bench_lock
 trap - EXIT
 
 echo "==> cargo build --release --workspace"
-# --workspace: the scaling gate below runs crates/bench's table2
+# --workspace: the table2 gates below run crates/bench's table2
 # binary, which a root-package build would leave stale.
 cargo build --release --workspace
 
@@ -345,20 +345,20 @@ wait "$route_pid"
 wait "$shard1_pid" || true
 rm -rf "$cdir"
 
-# Same-search gate: at one oracle thread the §4.3 climb is
-# deterministic, so its per-row counts must equal the one-thread rows
-# of the checked-in BENCH_reqtime.json. A change that alters the search
-# must regenerate that report and say why. C6288 is left out: it stops
-# at its deadline, so its counts depend on the host's speed.
-echo "==> same-search gate: table2 @1 counts match BENCH_reqtime.json"
+# Same-search gate: the §4.3 climb is deterministic, so its per-row
+# counts must equal the rows of the checked-in BENCH_reqtime.json. A
+# change that alters the search must regenerate that report and say
+# why. C6288 is left out: it stops at its deadline, so its counts
+# depend on the host's speed.
+echo "==> same-search gate: table2 counts match BENCH_reqtime.json"
 qdir="/tmp/xrta-ci-search-$$"
 mkdir -p "$qdir"
 search_rows="C432 C499 C880 C1355 C1908 C2670 C3540 C5315 C7552"
-./target/release/table2 --rows "${search_rows// /,}" --threads 1 --jobs 1 \
+./target/release/table2 --rows "${search_rows// /,}" --jobs 1 \
     --budget-secs 30 --json "$qdir/t1.json" > /dev/null
-# "circuit oracle_calls batches batched_probes" of one one-thread row.
+# "circuit oracle_calls batches batched_probes" of one circuit row.
 search_counts() {
-    grep '"threads": 1,' "$1" | sed -n 's/.*"circuit": "\([^"]*\)".*"oracle_calls": \([0-9]*\),.*"batches": \([0-9]*\), "batched_probes": \([0-9]*\),.*/\1 \2 \3 \4/p' \
+    grep '"circuit"' "$1" | sed -n 's/.*"circuit": "\([^"]*\)".*"oracle_calls": \([0-9]*\),.*"batches": \([0-9]*\), "batched_probes": \([0-9]*\),.*/\1 \2 \3 \4/p' \
         | grep "^$2 " | head -1 || true
 }
 for row in $search_rows; do
@@ -372,36 +372,6 @@ done
 echo "    oracle_calls, batches and batched_probes match on all nine rows"
 rm -rf "$qdir"
 
-# Scaling gate: oracle threads must never be a regression. Run table2's
-# C3540 row at 1 and 4 oracle threads and fail if the 4-thread wall
-# exceeds the 1-thread wall beyond container noise (worker slots clamp
-# to the host's cores, so on a single-core runner the two schedules are
-# identical and this checks pure overhead).
-echo "==> scaling gate: C3540 @4 threads must not lose to @1"
-gdir="/tmp/xrta-ci-scale-$$"
-mkdir -p "$gdir"
-./target/release/table2 --rows C3540 --budget-secs 60 --threads 1 \
-    --json "$gdir/t1.json" > /dev/null
-./target/release/table2 --rows C3540 --budget-secs 60 --threads 4 \
-    --json "$gdir/t4.json" > /dev/null
-# Match the circuit row only: resynth rows also carry a wall_secs.
-wall1=$(grep '"circuit"' "$gdir/t1.json" \
-    | sed -n 's/.*"wall_secs": \([0-9.]*\).*/\1/p' | head -1)
-wall4=$(grep '"circuit"' "$gdir/t4.json" \
-    | sed -n 's/.*"wall_secs": \([0-9.]*\).*/\1/p' | head -1)
-[ -n "$wall1" ] && [ -n "$wall4" ] || {
-    echo "scaling gate: missing wall_secs in table2 JSON"; exit 1; }
-echo "    C3540 wall: @1 ${wall1}s, @4 ${wall4}s"
-awk -v a="$wall1" -v b="$wall4" 'BEGIN {
-    # 1.25x noise tolerance plus a 0.2s floor so millisecond-scale
-    # jitter on fast runs cannot trip the gate.
-    exit !(b <= a * 1.25 + 0.2)
-}' || {
-    echo "scaling gate: @4 threads ($wall4 s) lost to @1 ($wall1 s)"
-    exit 1
-}
-rm -rf "$gdir"
-
 # Table 2's C6288 row must read "Yes", as in the paper: the clamped χ
 # network (ChiSatEngine) proves a raised input safe well inside 10 s.
 # Without the clamp every probe is a multiplier miter and the row
@@ -409,7 +379,7 @@ rm -rf "$gdir"
 echo "==> Table 2 C6288 finds a non-trivial required time"
 cdir6288="/tmp/xrta-ci-c6288-$$"
 mkdir -p "$cdir6288"
-./target/release/table2 --rows C6288 --budget-secs 10 --jobs 1 --threads 1 \
+./target/release/table2 --rows C6288 --budget-secs 10 --jobs 1 \
     --json "$cdir6288/c6288.json" > /dev/null
 grep '"circuit": "C6288"' "$cdir6288/c6288.json" | grep -q '"nontrivial": true' || {
     echo "C6288 row found no non-trivial required time:"

@@ -598,7 +598,6 @@ fn run_batch_cmd(
             default_timeout: args.timeout,
             fallback: args.fallback,
             engine: args.engine,
-            threads: args.threads,
             failpoints: args.failpoints.clone(),
             route: args.route.clone(),
             cancel,

@@ -157,7 +157,6 @@ pub const COMMANDS: &[CommandSpec] = &[
             "--backoff-base",
             "--backoff-cap",
             "--aggregate-timeout",
-            "--threads",
             "--timeout",
             "--fallback",
             "--engine",
@@ -379,11 +378,6 @@ pub const FLAGS: &[FlagSpec] = &[
         help: "whole-batch wall-clock budget",
     },
     FlagSpec {
-        flag: "--threads",
-        value: Some("N"),
-        help: "batch worker threads",
-    },
-    FlagSpec {
         flag: "--addr",
         value: Some("HOST:PORT"),
         help: "serve bind address / request target (port 0 = ephemeral)",
@@ -568,8 +562,6 @@ pub struct Args {
     pub backoff_cap: Duration,
     /// `--aggregate-timeout`.
     pub aggregate_timeout: Option<Duration>,
-    /// `--threads`.
-    pub threads: usize,
     /// `--addr`.
     pub addr: String,
     /// `--workers`.
@@ -709,7 +701,6 @@ pub fn parse_args(argv: &[String]) -> Result<Args, String> {
         backoff_base: Duration::from_millis(100),
         backoff_cap: Duration::from_secs(5),
         aggregate_timeout: None,
-        threads: 1,
         addr: "127.0.0.1:7199".to_string(),
         workers: 4,
         queue_cap: 64,
@@ -820,7 +811,6 @@ pub fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--aggregate-timeout" => {
                 args.aggregate_timeout = Some(parse_secs("--aggregate-timeout", Some(value()?))?)
             }
-            "--threads" => args.threads = num("--threads", value()?)?,
             "--addr" => args.addr = value()?,
             "--workers" => args.workers = num("--workers", value()?)?,
             "--queue-cap" => args.queue_cap = num("--queue-cap", value()?)?,

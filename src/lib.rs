@@ -17,7 +17,7 @@
 //! | [`robust`] | `xrta-robust` | failpoints, atomic writes, CRC'd journals, backoff |
 //! | [`batch`] | `xrta-batch` | crash-resilient batch runner with checkpoint/resume |
 //! | [`serve`] | `xrta-serve` | analysis daemon: result cache, single-flight, admission control |
-//! | [`router`] | `xrta-router` | sharded serving: consistent-hash routing, health checks, hedging, drain |
+//! | [`router`] | `xrta-router` | sharded serving: consistent-hash routing, health checks, failover, drain |
 //! | [`resynth`] | `xrta-resynth` | slack-guided AND-OR restructuring with verified equivalence |
 //!
 //! ## Quickstart: the paper's Figure 4

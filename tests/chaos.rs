@@ -140,7 +140,6 @@ fn chaos_options() -> BatchOptions {
         seed: RUN_SEED,
         backoff: BackoffPolicy::immediate(2),
         failpoints: Some(SCHEDULE.to_string()),
-        threads: 1,
         ..BatchOptions::default()
     }
 }
@@ -302,7 +301,6 @@ fn chaos_memory_pressure_degrades_soundly_and_resumes_byte_identical() {
         seed: RUN_SEED ^ 0x3e30,
         backoff: BackoffPolicy::immediate(2),
         failpoints: Some(MEM_SCHEDULE.to_string()),
-        threads: 1,
         // A tiny hard budget arms every pressure check; the failpoint
         // then decides deterministically (per attempt seed) when the
         // watermarks "trip".

@@ -1,18 +1,12 @@
-//! Equivalence of the parallel, dominance-pruned §4.3 oracle with the
-//! sequential baseline: on random circuits the lattice climb must
-//! return *identical* maximal sets for every thread count, and every
-//! maximal point must be safe and unraisable under the independent BDD
-//! oracle. (Cone verdicts are pure functions of the query, so neither
-//! the fan-out across worker threads nor dominance pruning may change
-//! what the search finds — only how fast it finds it.) The small
-//! circuits fit one support-mask word and two cones; [`WIDE`] spans
-//! two words and eight cones.
-//!
-//! Every test sets `XRTA_OVERSUBSCRIBE`, which lifts the worker-slot
-//! clamp, so the multi-worker path runs on a one-core host too. No
-//! test removes it: each equality here holds at any worker count, and
-//! a removal would race with the other tests of this binary.
+//! Equivalence of §4.3 searches run side by side on several threads —
+//! as `xrta serve --workers` and `table2 --jobs` run them — with the
+//! same searches run one after another. Each search owns its cones,
+//! frontiers and counters, so sharing the process with other searches
+//! may not change what it finds or how many oracle calls it makes. The
+//! small circuits fit one support-mask word and two cones; [`WIDE`]
+//! spans two words and eight cones.
 
+use std::thread;
 use xrta::circuits::{random_circuit, RandomCircuitSpec};
 use xrta::prelude::*;
 
@@ -31,10 +25,9 @@ fn seeds() -> impl Iterator<Item = u64> {
     (0..10u64).map(|i| 0x9E37u64.wrapping_mul(2654435761).wrapping_add(i * 487))
 }
 
-/// A circuit wider than one 64-input support-mask word (some of its
-/// cones read inputs past the 64th), with enough cones that rounds
-/// carry several batches for the helpers to take. Its climb takes 728
-/// oracle calls at one thread and reaches a non-trivial point.
+/// A circuit wider than one 64-input support-mask word, whose climb
+/// runs past the 48 oracle calls after which rounds go largest cone
+/// first.
 const WIDE: RandomCircuitSpec = RandomCircuitSpec {
     inputs: 72,
     gates: 90,
@@ -44,106 +37,73 @@ const WIDE: RandomCircuitSpec = RandomCircuitSpec {
     seed: 6,
 };
 
-/// The circuits both differentials below run over.
 fn cases() -> impl Iterator<Item = RandomCircuitSpec> {
     seeds().map(spec).chain(std::iter::once(WIDE))
 }
 
-fn opts(threads: usize) -> Approx2Options {
+fn opts() -> Approx2Options {
     Approx2Options {
         max_solutions: 3,
         max_oracle_calls: 2_000,
-        threads,
         ..Approx2Options::default()
     }
 }
 
+/// Runs `f` once on each of `threads` threads at the same time and
+/// returns what each run returned.
+fn side_by_side<T: Send>(threads: usize, f: impl Fn() -> T + Sync) -> Vec<T> {
+    thread::scope(|s| {
+        let runs: Vec<_> = (0..threads).map(|_| s.spawn(&f)).collect();
+        runs.into_iter()
+            .map(|h| h.join().expect("search thread panicked"))
+            .collect()
+    })
+}
+
 #[test]
 fn parallel_and_sequential_find_identical_maximal_sets() {
-    std::env::set_var("XRTA_OVERSUBSCRIBE", "1");
     for case in cases() {
         let seed = case.seed;
-        let wide = case.inputs == WIDE.inputs;
         let net = random_circuit(case).expect("valid spec");
         let req = vec![Time::ZERO; net.outputs().len()];
-        let seq = approx2_required_times(&net, &UnitDelay, &req, opts(1));
+        let seq = approx2_required_times(&net, &UnitDelay, &req, opts());
         for threads in [2usize, 4] {
-            let par = approx2_required_times(&net, &UnitDelay, &req, opts(threads));
-            assert_eq!(
-                seq.maximal, par.maximal,
-                "threads {threads} diverged (seed {seed})"
-            );
-            assert_eq!(seq.r_bottom, par.r_bottom, "seed {seed}");
-            // Past the warm-up, so the comparison is serial against
-            // helpers, not serial against serial.
-            assert!(
-                !wide || par.steals > 0,
-                "no batch ran on a helper at {threads} threads (seed {seed})"
-            );
+            let runs = side_by_side(threads, || {
+                approx2_required_times(&net, &UnitDelay, &req, opts())
+            });
+            for par in runs {
+                assert_eq!(
+                    seq.maximal, par.maximal,
+                    "{threads} searches side by side diverged (seed {seed})"
+                );
+                assert_eq!(seq.r_bottom, par.r_bottom, "seed {seed}");
+                assert_eq!(seq.oracle_calls, par.oracle_calls, "seed {seed}");
+                assert_eq!(seq.batches, par.batches, "seed {seed}");
+                assert_eq!(seq.batched_probes, par.batched_probes, "seed {seed}");
+            }
         }
     }
 }
 
-/// Thread count must not leak into the *analysis content* at all: the
-/// rendered latest conditions — the user-visible report — must be
-/// byte-identical at 1, 2, 4 and 8 threads.
+/// The rendered latest conditions — the user-visible report — must be
+/// byte-identical whether one search runs alone or 2, 4 or 8 run at
+/// once.
 #[test]
 fn rendered_report_is_byte_identical_across_thread_counts() {
-    std::env::set_var("XRTA_OVERSUBSCRIBE", "1");
     for seed in seeds().take(4) {
         let net = random_circuit(spec(seed)).expect("valid spec");
         let req = vec![Time::ZERO; net.outputs().len()];
-        let render = |threads: usize| {
-            let r = approx2_required_times(&net, &UnitDelay, &req, opts(threads));
+        let render = || {
+            let r = approx2_required_times(&net, &UnitDelay, &req, opts());
             xrta::core::report::render_conditions(&net, &r.maximal_conditions())
         };
-        let baseline = render(1);
+        let baseline = render();
         for threads in [2usize, 4, 8] {
-            assert_eq!(
-                baseline,
-                render(threads),
-                "report diverged at {threads} threads (seed {seed})"
-            );
-        }
-    }
-}
-
-#[test]
-fn parallel_maximal_points_are_safe_and_unraisable() {
-    std::env::set_var("XRTA_OVERSUBSCRIBE", "1");
-    for threads in [1usize, 4] {
-        for case in cases() {
-            let seed = case.seed;
-            let net = random_circuit(case).expect("valid spec");
-            let req = vec![Time::ZERO; net.outputs().len()];
-            let r = approx2_required_times(&net, &UnitDelay, &req, opts(threads));
-            assert!(r.completed, "oracle-call budget hit (seed {seed})");
-            for m in &r.maximal {
-                let ft = FunctionalTiming::new(&net, &UnitDelay, m.clone(), EngineKind::Bdd);
-                assert!(
-                    ft.meets(&req),
-                    "point {m:?} unsafe (seed {seed}, {threads} threads)"
+            for report in side_by_side(threads, render) {
+                assert_eq!(
+                    baseline, report,
+                    "report diverged with {threads} searches side by side (seed {seed})"
                 );
-                // Unraisable: bumping any coordinate to its next candidate
-                // rung breaks safety per the independent BDD oracle.
-                for (i, cands) in r.candidates.iter().enumerate() {
-                    let pos = cands
-                        .iter()
-                        .position(|&c| c == m[i])
-                        .expect("maximal point lies on the candidate lattice");
-                    if pos + 1 < cands.len() {
-                        let mut up = m.clone();
-                        up[i] = cands[pos + 1];
-                        let ft =
-                            FunctionalTiming::new(&net, &UnitDelay, up.clone(), EngineKind::Bdd);
-                        assert!(
-                            !ft.meets(&req),
-                            "raising coord {i} of {m:?} to {:?} stays safe (seed {seed}, \
-                             {threads} threads)",
-                            up[i]
-                        );
-                    }
-                }
             }
         }
     }
