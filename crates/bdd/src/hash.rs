@@ -1,5 +1,6 @@
-//! A fast, non-cryptographic hasher for the unique table and operation
-//! caches.
+//! A fast, non-cryptographic hasher for the per-call operation caches
+//! (quantification, composition, minimal elements) and for callers'
+//! maps keyed by handles.
 //!
 //! BDD packages are dominated by hash-table traffic on small fixed-size
 //! integer keys; the default SipHash is measurably slower than a

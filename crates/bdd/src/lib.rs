@@ -41,6 +41,8 @@
 mod compose;
 mod count;
 mod dot;
+#[cfg(test)]
+mod eviction;
 mod hash;
 mod isop;
 mod manager;
@@ -48,6 +50,7 @@ mod minimal;
 mod node;
 mod quant;
 mod reorder;
+mod table;
 
 pub use count::Cube;
 pub use hash::{FxHashMap, FxHashSet, FxHasher};

@@ -5,8 +5,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::hash::FxHashMap;
 use crate::node::{Node, Ref, Var, TERMINAL_VAR};
+use crate::table::{ComputedTable, UniqueTable};
 
 /// Error returned when a BDD operation cannot complete within its
 /// resource envelope.
@@ -55,14 +55,6 @@ pub type BddResult<T> = Result<T, BddError>;
 /// cancel-flag checks are amortized so the hot path stays branch-cheap.
 const GOVERNOR_POLL_INTERVAL: u32 = 1024;
 
-/// Keys for the persistent unary-operation cache. Quantification,
-/// restriction and composition use per-call caches instead (their
-/// auxiliary arguments vary), so only negation lives here.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub(crate) enum CacheOp {
-    Not,
-}
-
 /// A shared-node, reduced, ordered BDD manager.
 ///
 /// All functions live in one arena; [`Ref`] handles index into it. Because
@@ -85,11 +77,11 @@ pub(crate) enum CacheOp {
 /// ```
 pub struct Bdd {
     pub(crate) nodes: Vec<Node>,
-    pub(crate) unique: FxHashMap<(u32, u32, u32), u32>,
-    /// ITE computed table.
-    pub(crate) ite_cache: FxHashMap<(u32, u32, u32), u32>,
-    /// Cache for unary/auxiliary operations.
-    pub(crate) op_cache: FxHashMap<(CacheOp, u32, u32), u32>,
+    pub(crate) unique: UniqueTable,
+    /// ITE computed table; negation shares it under the key `(f, ⊥, ⊤)`.
+    /// Quantification, restriction and composition use per-call caches
+    /// (their auxiliary arguments vary).
+    computed: ComputedTable,
     /// Variable index -> level (position in the order, 0 = topmost).
     pub(crate) var2level: Vec<u32>,
     /// Level -> variable index.
@@ -142,9 +134,8 @@ impl Bdd {
     pub fn with_node_limit(node_limit: usize) -> Self {
         Bdd {
             nodes: vec![Node::terminal(), Node::terminal()],
-            unique: FxHashMap::default(),
-            ite_cache: FxHashMap::default(),
-            op_cache: FxHashMap::default(),
+            unique: UniqueTable::new(),
+            computed: ComputedTable::new(),
             var2level: Vec::new(),
             level2var: Vec::new(),
             var_nodes: Vec::new(),
@@ -155,6 +146,15 @@ impl Bdd {
             mem_charged: 0,
             poll_countdown: GOVERNOR_POLL_INTERVAL,
         }
+    }
+
+    /// A default manager whose computed table is held at `slots` slots:
+    /// the reference the eviction differential compares against.
+    #[cfg(test)]
+    pub(crate) fn with_computed_slots(slots: usize) -> Self {
+        let mut bdd = Self::new();
+        bdd.computed = ComputedTable::held_at(slots);
+        bdd
     }
 
     /// The configured node limit.
@@ -186,69 +186,62 @@ impl Bdd {
     }
 
     /// Arms (or disarms, with `None`) a byte budget against the
-    /// process-wide memory meter. At the soft watermark (7/8 of the
-    /// limit) the apply/op caches are dropped in place; at the hard
-    /// watermark construction fails with [`BddError::MemoryOut`].
+    /// process-wide memory meter. The computed table grows with the
+    /// arena only while the meter stays under the soft watermark (7/8 of
+    /// the limit); past it the table is shed to its minimum, and at the
+    /// hard watermark construction fails with [`BddError::MemoryOut`].
     /// Polled on the same amortized schedule as [`Bdd::set_deadline`].
     pub fn set_mem_limit(&mut self, limit: Option<u64>) {
         self.mem_limit = limit;
         self.poll_countdown = 0;
     }
 
-    /// Estimated bytes behind this manager: arena, unique table and the
-    /// two operation caches (capacity-based, so a shrink is visible).
+    /// Estimated bytes behind this manager: arena, both tables and the
+    /// per-variable node lists, each at full capacity.
     fn mem_bytes_estimate(&self) -> u64 {
-        // Hash-map slots carry the key/value pair plus control bytes.
-        const MAP_ENTRY: usize = 12 + 4 + 8;
         let nodes = self.nodes.capacity() * std::mem::size_of::<Node>();
-        let maps = (self.unique.capacity() + self.ite_cache.capacity() + self.op_cache.capacity())
-            * MAP_ENTRY;
+        let tables = self.unique.bytes() + self.computed.bytes();
         let var_lists: usize = self
             .var_nodes
             .iter()
             .map(|l| l.capacity() * std::mem::size_of::<u32>())
             .sum();
-        (nodes + maps + var_lists) as u64
+        (nodes + tables + var_lists) as u64
     }
 
-    /// Re-states this manager's footprint on the meter and reacts to
-    /// pressure when a limit is armed: soft → shrink the apply caches
-    /// in place (the unique table stays — it holds the diagram itself),
-    /// hard → cooperative [`BddError::MemoryOut`].
-    fn poll_memory(&mut self) -> BddResult<()> {
-        let meter = xrta_robust::mem::global();
+    /// Re-states this manager's footprint on the meter.
+    fn restate_memory(&mut self) {
         let mut charged = self.mem_charged;
-        meter.restate(
+        xrta_robust::mem::global().restate(
             xrta_robust::mem::Subsystem::Bdd,
             &mut charged,
             self.mem_bytes_estimate(),
         );
         self.mem_charged = charged;
-        let Some(limit) = self.mem_limit else {
-            return Ok(());
-        };
-        match meter.pressure(limit) {
-            xrta_robust::mem::Pressure::None => Ok(()),
-            xrta_robust::mem::Pressure::Soft => {
-                // Reclaim only when the caches are worth dropping, so
-                // sustained soft pressure from *other* subsystems does
-                // not thrash freshly rebuilt tables.
-                if self.ite_cache.len() + self.op_cache.len() >= 1 << 12 {
-                    self.clear_caches();
-                    self.ite_cache.shrink_to_fit();
-                    self.op_cache.shrink_to_fit();
-                    let mut charged = self.mem_charged;
-                    meter.restate(
-                        xrta_robust::mem::Subsystem::Bdd,
-                        &mut charged,
-                        self.mem_bytes_estimate(),
-                    );
-                    self.mem_charged = charged;
-                }
-                Ok(())
+    }
+
+    /// Re-states this manager's footprint and sizes the computed table
+    /// by the pressure of an armed limit: none → it follows the arena,
+    /// as far as the soft watermark leaves room; soft → it is shed to its
+    /// minimum (the unique table stays — it holds the diagram itself);
+    /// hard → cooperative [`BddError::MemoryOut`].
+    fn poll_memory(&mut self) -> BddResult<()> {
+        use xrta_robust::mem::{self, Pressure};
+        self.restate_memory();
+        let meter = mem::global();
+        let resized = match self.mem_limit.map(|limit| (limit, meter.pressure(limit))) {
+            None => self.computed.follow(self.nodes.len(), usize::MAX),
+            Some((limit, Pressure::None)) => {
+                let room = mem::soft_watermark(limit).saturating_sub(meter.total());
+                self.computed.follow(self.nodes.len(), room as usize)
             }
-            xrta_robust::mem::Pressure::Hard => Err(BddError::MemoryOut),
+            Some((_, Pressure::Soft)) => self.computed.shed(),
+            Some((_, Pressure::Hard)) => return Err(BddError::MemoryOut),
+        };
+        if resized {
+            self.restate_memory();
         }
+        Ok(())
     }
 
     /// Amortized governor check, called on the node-creation path and
@@ -462,8 +455,12 @@ impl Bdd {
         }
         debug_assert!(self.level(lo.0) > self.var2level[var as usize]);
         debug_assert!(self.level(hi.0) > self.var2level[var as usize]);
-        let key = (var, lo.0, hi.0);
-        if let Some(&idx) = self.unique.get(&key) {
+        let key = Node {
+            var,
+            lo: lo.0,
+            hi: hi.0,
+        };
+        if let Some(idx) = self.unique.find(&self.nodes, key) {
             return Ok(Ref(idx));
         }
         // Fault-injection site on the allocation slow path: `exhaust`
@@ -485,11 +482,7 @@ impl Bdd {
             });
         }
         let idx = self.nodes.len() as u32;
-        self.nodes.push(Node {
-            var,
-            lo: lo.0,
-            hi: hi.0,
-        });
+        self.nodes.push(key);
         self.unique.insert(key, idx);
         self.var_nodes[var as usize].push(idx);
         Ok(Ref(idx))
@@ -527,8 +520,7 @@ impl Bdd {
         if g.is_true() && h.is_false() {
             return Ok(f);
         }
-        let key = (f.0, g.0, h.0);
-        if let Some(&r) = self.ite_cache.get(&key) {
+        if let Some(r) = self.computed.get(f.0, g.0, h.0) {
             return Ok(Ref(r));
         }
         let lf = self.level(f.0);
@@ -542,7 +534,7 @@ impl Bdd {
         let t = self.try_ite(f1, g1, h1)?;
         let e = self.try_ite(f0, g0, h0)?;
         let r = self.mk(var, e, t)?;
-        self.ite_cache.insert(key, r.0);
+        self.computed.insert(f.0, g.0, h.0, r.0);
         Ok(r)
     }
 
@@ -567,14 +559,15 @@ impl Bdd {
         if f.is_false() {
             return Ok(Ref::TRUE);
         }
-        if let Some(&r) = self.op_cache.get(&(CacheOp::Not, f.0, 0)) {
+        // ¬f = ite(f, ⊥, ⊤): negation shares the ITE entry.
+        if let Some(r) = self.computed.get(f.0, Ref::FALSE.0, Ref::TRUE.0) {
             return Ok(Ref(r));
         }
         let n = self.node(f.0);
         let lo = self.try_not(Ref(n.lo))?;
         let hi = self.try_not(Ref(n.hi))?;
         let r = self.mk(n.var, lo, hi)?;
-        self.op_cache.insert((CacheOp::Not, f.0, 0), r.0);
+        self.computed.insert(f.0, Ref::FALSE.0, Ref::TRUE.0, r.0);
         Ok(r)
     }
 
@@ -749,10 +742,9 @@ impl Bdd {
         }
     }
 
-    /// Clears the operation caches (the unique table is kept).
+    /// Clears the computed table (the unique table is kept).
     pub fn clear_caches(&mut self) {
-        self.ite_cache.clear();
-        self.op_cache.clear();
+        self.computed.clear();
     }
 
     /// Reclaims nodes unreachable from `roots`, compacting the arena.
@@ -788,10 +780,7 @@ impl Bdd {
             node.hi = remap[node.hi as usize];
         }
         self.nodes = new_nodes;
-        self.unique.clear();
-        for (i, node) in self.nodes.iter().enumerate().skip(2) {
-            self.unique.insert((node.var, node.lo, node.hi), i as u32);
-        }
+        self.unique.rebuild(&self.nodes);
         for list in &mut self.var_nodes {
             list.clear();
         }

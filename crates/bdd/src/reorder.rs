@@ -64,20 +64,24 @@ impl Bdd {
             } else {
                 (f1, f1)
             };
-            self.unique.remove(&(x, f0, f1));
+            // Both new x-nodes differ from the old key wherever it had a
+            // y-node child, so the node stays registered until both
+            // exist, and a failed `mk` leaves the table whole.
             let a = self.mk(x, Ref(f00), Ref(f10))?;
             let b = self.mk(x, Ref(f01), Ref(f11))?;
             debug_assert_ne!(a, b, "swapped node cannot be redundant");
-            self.nodes[id as usize] = Node {
+            self.unique.remove(&self.nodes, n);
+            let swapped = Node {
                 var: y,
                 lo: a.0,
                 hi: b.0,
             };
-            let fresh = self.unique.insert((y, a.0, b.0), id);
             debug_assert!(
-                fresh.is_none(),
+                self.unique.find(&self.nodes, swapped).is_none(),
                 "level swap produced a duplicate node; canonicity violated"
             );
+            self.nodes[id as usize] = swapped;
+            self.unique.insert(swapped, id);
             self.var_nodes[y as usize].push(id);
         }
 
@@ -88,7 +92,8 @@ impl Bdd {
     }
 
     /// Number of live-or-dead decision nodes currently in the unique
-    /// table (the sifting cost metric).
+    /// table, which registers every node of the arena (the sifting cost
+    /// metric).
     fn table_size(&self) -> usize {
         self.unique.len()
     }
@@ -205,15 +210,13 @@ impl Bdd {
         }
     }
 
-    /// Sanity check: every unique-table entry matches its node and every
-    /// node's children are strictly below it. Used by tests and debug
-    /// assertions; linear in arena size.
+    /// Sanity check: the unique table registers every decision node
+    /// once, each reachable by probing from its key's home slot, and
+    /// every node's children are strictly below it. Used by tests and
+    /// debug assertions; linear in arena size.
     pub fn check_invariants(&self) -> bool {
-        for (&(var, lo, hi), &id) in &self.unique {
-            let n = self.nodes[id as usize];
-            if n.var != var || n.lo != lo || n.hi != hi {
-                return false;
-            }
+        if self.unique.len() != self.nodes.len() - 2 || !self.unique.is_consistent(&self.nodes) {
+            return false;
         }
         for node in self.nodes.iter().skip(2) {
             if node.var == TERMINAL_VAR {
@@ -330,6 +333,55 @@ mod tests {
             assert_eq!(bdd.eval(g, &asst), expect(m));
         }
         assert!(bdd.check_invariants());
+    }
+
+    /// Seeded level swaps and sifting passes over random functions, with
+    /// new functions built between them. Swaps are the only deletions
+    /// from the unique table, so this drives its backward shift through
+    /// the manager.
+    #[test]
+    fn seeded_reordering_keeps_the_unique_table_and_every_root() {
+        const NVARS: usize = 7;
+        for seed in 0..24 {
+            let mut rng = xrta_rng::Rng::seed_from_u64(0x5EED + seed);
+            let mut bdd = Bdd::new();
+            let vs = bdd.fresh_vars(NVARS);
+            let mut roots: Vec<Ref> = vs.iter().map(|&v| bdd.var(v)).collect();
+            let mut truths: Vec<Vec<bool>> = Vec::new();
+            for step in 0..60 {
+                if step % 3 == 0 {
+                    let a = *rng.pick(&roots);
+                    let b = *rng.pick(&roots);
+                    let f = match rng.range(0, 3) {
+                        0 => bdd.and(a, b),
+                        1 => bdd.or(a, b),
+                        _ => bdd.xor(a, b),
+                    };
+                    roots.push(f);
+                } else if rng.percent(10) {
+                    roots = bdd.try_reduce(&roots).unwrap();
+                    assert_eq!(bdd.unique.len(), bdd.node_count() - 2, "seed {seed}");
+                } else {
+                    bdd.swap_adjacent_levels(rng.range(0, NVARS - 1)).unwrap();
+                }
+                assert!(bdd.check_invariants(), "seed {seed}, step {step}");
+                truths.resize_with(roots.len(), Vec::new);
+                for (f, truth) in roots.iter().zip(truths.iter_mut()) {
+                    let now = truth_vector(&bdd, *f, NVARS);
+                    if truth.is_empty() {
+                        *truth = now;
+                    } else {
+                        assert_eq!(&now, truth, "seed {seed}, step {step}");
+                    }
+                }
+            }
+            let kept = bdd.collect_garbage(&roots);
+            assert_eq!(bdd.unique.len(), bdd.node_count() - 2, "seed {seed}");
+            assert!(bdd.check_invariants());
+            for (f, truth) in kept.iter().zip(&truths) {
+                assert_eq!(&truth_vector(&bdd, *f, NVARS), truth);
+            }
+        }
     }
 
     #[test]

@@ -148,6 +148,26 @@ echo "$mem_out" | grep -q "memory budget exhausted" || {
     exit 1
 }
 echo "    degraded with memory-out provenance"
+# The same run without a byte budget must run into the node cap
+# instead: Table 1's `memory out` is the node limit's verdict, and the
+# BDD tables' bytes must not decide it.
+echo "==> node cap smoke: mult4 exact without a byte budget degrades"
+set +e
+cap_out=$(./target/release/xrta reqtime netlists/mult4.bench \
+    --algo exact --timeout 10 2>&1)
+cap_rc=$?
+set -e
+if [ "$cap_rc" != 3 ]; then
+    echo "node cap smoke: expected exit 3 (degraded), got $cap_rc"
+    echo "$cap_out"
+    exit 1
+fi
+echo "$cap_out" | grep -q "bdd node budget of 4194304 nodes exhausted" || {
+    echo "node cap smoke: provenance does not name the node budget"
+    echo "$cap_out"
+    exit 1
+}
+echo "    degraded with node-budget provenance"
 
 # Chaos smoke: the failpoints feature must build clean and the batch
 # runner must survive seeded faults, in-process kills, journal tail
