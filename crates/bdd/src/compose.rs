@@ -63,8 +63,7 @@ impl Bdd {
         if f.is_const() {
             return Ok(f);
         }
-        let vl = self.var2level[var as usize];
-        if self.level(f.0) > vl {
+        if self.level(f.0) > var {
             return Ok(f);
         }
         if let Some(&r) = cache.get(&f.0) {

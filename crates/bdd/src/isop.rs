@@ -58,7 +58,7 @@ impl Bdd {
         let ll = self.level(lower.0);
         let lu = self.level(upper.0);
         let top = ll.min(lu);
-        let var = Var(self.level2var[top as usize]);
+        let var = Var(top);
         let (l0, l1) = self.cofactors_at_level(lower, top);
         let (u0, u1) = self.cofactors_at_level(upper, top);
 

@@ -13,10 +13,11 @@
 //! * [`Bdd::monotone_primes`] — prime implicants of a monotone increasing
 //!   function via minimal satisfying assignments (Theorem 1, §4.2).
 //!
-//! Dynamic variable reordering ([`Bdd::reduce`], in-place sifting) keeps
-//! outstanding handles valid; a configurable node limit
-//! ([`Bdd::with_node_limit`]) reproduces the `memory out` behaviour the
-//! paper reports for its exact algorithm on large circuits.
+//! The variable order is fixed: it is the order variables are created
+//! in, so a variable's index is its level, and the arena only grows. A
+//! configurable node limit ([`Bdd::with_node_limit`]) reproduces the
+//! `memory out` behaviour the paper reports for its exact algorithm on
+//! large circuits.
 //!
 //! ## Example
 //!
@@ -49,7 +50,6 @@ mod manager;
 mod minimal;
 mod node;
 mod quant;
-mod reorder;
 mod table;
 
 pub use count::Cube;

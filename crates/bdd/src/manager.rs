@@ -57,8 +57,10 @@ const GOVERNOR_POLL_INTERVAL: u32 = 1024;
 
 /// A shared-node, reduced, ordered BDD manager.
 ///
-/// All functions live in one arena; [`Ref`] handles index into it. Because
-/// the diagrams are reduced and ordered, equal handles ⇔ equal functions.
+/// All functions live in one append-only arena; [`Ref`] handles index
+/// into it. Because the diagrams are reduced and ordered, equal handles ⇔
+/// equal functions. The variable order is the order variables are
+/// created in, so a variable's index is its level (0 = topmost).
 ///
 /// # Examples
 ///
@@ -82,13 +84,8 @@ pub struct Bdd {
     /// Quantification, restriction and composition use per-call caches
     /// (their auxiliary arguments vary).
     computed: ComputedTable,
-    /// Variable index -> level (position in the order, 0 = topmost).
-    pub(crate) var2level: Vec<u32>,
-    /// Level -> variable index.
-    pub(crate) level2var: Vec<u32>,
-    /// Nodes ever created per variable (may contain stale entries; used by
-    /// reordering, which re-validates).
-    pub(crate) var_nodes: Vec<Vec<u32>>,
+    /// Variables declared so far.
+    var_count: u32,
     node_limit: usize,
     /// Wall-clock deadline after which node creation fails with
     /// [`BddError::Deadline`].
@@ -115,7 +112,7 @@ impl Default for Bdd {
 impl fmt::Debug for Bdd {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Bdd")
-            .field("vars", &self.var2level.len())
+            .field("vars", &self.var_count)
             .field("nodes", &self.nodes.len())
             .field("node_limit", &self.node_limit)
             .finish()
@@ -136,9 +133,7 @@ impl Bdd {
             nodes: vec![Node::terminal(), Node::terminal()],
             unique: UniqueTable::new(),
             computed: ComputedTable::new(),
-            var2level: Vec::new(),
-            level2var: Vec::new(),
-            var_nodes: Vec::new(),
+            var_count: 0,
             node_limit,
             deadline: None,
             cancel: None,
@@ -169,7 +164,7 @@ impl Bdd {
 
     /// Arms (or disarms, with `None`) a wall-clock deadline: node
     /// creation past the deadline fails with [`BddError::Deadline`].
-    /// Polled every [`GOVERNOR_POLL_INTERVAL`] node creations, so
+    /// Polled every `GOVERNOR_POLL_INTERVAL` (1024) node creations, so
     /// overshoot is bounded by one poll interval of work.
     pub fn set_deadline(&mut self, deadline: Option<Instant>) {
         self.deadline = deadline;
@@ -196,17 +191,11 @@ impl Bdd {
         self.poll_countdown = 0;
     }
 
-    /// Estimated bytes behind this manager: arena, both tables and the
-    /// per-variable node lists, each at full capacity.
+    /// Estimated bytes behind this manager: arena and both tables, each
+    /// at full capacity.
     fn mem_bytes_estimate(&self) -> u64 {
         let nodes = self.nodes.capacity() * std::mem::size_of::<Node>();
-        let tables = self.unique.bytes() + self.computed.bytes();
-        let var_lists: usize = self
-            .var_nodes
-            .iter()
-            .map(|l| l.capacity() * std::mem::size_of::<u32>())
-            .sum();
-        (nodes + tables + var_lists) as u64
+        (nodes + self.unique.bytes() + self.computed.bytes()) as u64
     }
 
     /// Re-states this manager's footprint on the meter.
@@ -222,9 +211,11 @@ impl Bdd {
 
     /// Re-states this manager's footprint and sizes the computed table
     /// by the pressure of an armed limit: none → it follows the arena,
-    /// as far as the soft watermark leaves room; soft → it is shed to its
-    /// minimum (the unique table stays — it holds the diagram itself);
-    /// hard → cooperative [`BddError::MemoryOut`].
+    /// stopping short of the soft watermark (a table that reached it
+    /// would be shed at the next poll and regrown at the one after);
+    /// soft → it is shed to its minimum (the unique table stays — it
+    /// holds the diagram itself); hard → cooperative
+    /// [`BddError::MemoryOut`].
     fn poll_memory(&mut self) -> BddResult<()> {
         use xrta_robust::mem::{self, Pressure};
         self.restate_memory();
@@ -246,7 +237,7 @@ impl Bdd {
 
     /// Amortized governor check, called on the node-creation path and
     /// at the entry of the long cache-hit-heavy traversals
-    /// (`isop`/`quant`/reordering), which can run for a long time
+    /// (`isop`/`quant`), which can run for a long time
     /// without ever creating a node.
     #[inline]
     pub(crate) fn poll_governor(&mut self) -> BddResult<()> {
@@ -268,8 +259,9 @@ impl Bdd {
         self.poll_memory()
     }
 
-    /// Number of nodes in the arena, including the two terminals and any
-    /// dead nodes not yet reclaimed by [`Bdd::collect_garbage`].
+    /// Number of nodes in the arena, including the two terminals. The
+    /// arena only grows: nodes no root reaches any more stay until the
+    /// manager is dropped.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
     }
@@ -314,15 +306,13 @@ impl Bdd {
 
     /// Number of declared variables.
     pub fn var_count(&self) -> usize {
-        self.var2level.len()
+        self.var_count as usize
     }
 
-    /// Declares a new variable, placed at the bottom of the current order.
+    /// Declares a new variable, placed at the bottom of the order.
     pub fn fresh_var(&mut self) -> Var {
-        let v = self.var2level.len() as u32;
-        self.var2level.push(v);
-        self.level2var.push(v);
-        self.var_nodes.push(Vec::new());
+        let v = self.var_count;
+        self.var_count += 1;
         Var(v)
     }
 
@@ -331,14 +321,9 @@ impl Bdd {
         (0..n).map(|_| self.fresh_var()).collect()
     }
 
-    /// All declared variables in creation order.
+    /// All declared variables, topmost level first (creation order).
     pub fn vars(&self) -> Vec<Var> {
-        (0..self.var2level.len() as u32).map(Var).collect()
-    }
-
-    /// The current order, topmost level first.
-    pub fn variable_order(&self) -> Vec<Var> {
-        self.level2var.iter().map(|&v| Var(v)).collect()
+        (0..self.var_count).map(Var).collect()
     }
 
     /// Fallible form of [`Bdd::var`].
@@ -351,11 +336,7 @@ impl Bdd {
     ///
     /// Panics if `v` was not created by this manager.
     pub fn try_var(&mut self, v: Var) -> BddResult<Ref> {
-        assert!(
-            (v.0 as usize) < self.var2level.len(),
-            "variable {v} not declared on this manager"
-        );
-        self.mk(v.0, Ref::FALSE, Ref::TRUE)
+        self.try_literal(v, true)
     }
 
     /// Fallible form of [`Bdd::nvar`].
@@ -368,11 +349,20 @@ impl Bdd {
     ///
     /// Panics if `v` was not created by this manager.
     pub fn try_nvar(&mut self, v: Var) -> BddResult<Ref> {
+        self.try_literal(v, false)
+    }
+
+    fn try_literal(&mut self, v: Var, positive: bool) -> BddResult<Ref> {
         assert!(
-            (v.0 as usize) < self.var2level.len(),
+            v.0 < self.var_count,
             "variable {v} not declared on this manager"
         );
-        self.mk(v.0, Ref::TRUE, Ref::FALSE)
+        let (lo, hi) = if positive {
+            (Ref::FALSE, Ref::TRUE)
+        } else {
+            (Ref::TRUE, Ref::FALSE)
+        };
+        self.mk(v.0, lo, hi)
     }
 
     /// The positive literal (single-variable function) for `v`.
@@ -382,12 +372,7 @@ impl Bdd {
     /// Panics if `v` was not created by this manager or the node limit is
     /// exceeded.
     pub fn var(&mut self, v: Var) -> Ref {
-        assert!(
-            (v.0 as usize) < self.var2level.len(),
-            "variable {v} not declared on this manager"
-        );
-        self.mk(v.0, Ref::FALSE, Ref::TRUE)
-            .expect("bdd node limit exceeded")
+        self.try_var(v).expect("bdd node limit exceeded")
     }
 
     /// The negative literal `¬v`.
@@ -396,21 +381,17 @@ impl Bdd {
     ///
     /// Panics under the same conditions as [`Bdd::var`].
     pub fn nvar(&mut self, v: Var) -> Ref {
-        assert!(
-            (v.0 as usize) < self.var2level.len(),
-            "variable {v} not declared on this manager"
-        );
-        self.mk(v.0, Ref::TRUE, Ref::FALSE)
-            .expect("bdd node limit exceeded")
+        self.try_nvar(v).expect("bdd node limit exceeded")
     }
 
     /// A literal: `v` if `positive`, else `¬v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`Bdd::var`].
     pub fn literal(&mut self, v: Var, positive: bool) -> Ref {
-        if positive {
-            self.var(v)
-        } else {
-            self.nvar(v)
-        }
+        self.try_literal(v, positive)
+            .expect("bdd node limit exceeded")
     }
 
     /// Constant function for `value`.
@@ -437,15 +418,11 @@ impl Bdd {
         }
     }
 
-    /// Level of the root of `f` (`u32::MAX` for constants).
+    /// Level of the root of `f`: its variable's index, or
+    /// `TERMINAL_VAR` (`u32::MAX`, below every level) for constants.
     #[inline]
     pub(crate) fn level(&self, r: u32) -> u32 {
-        let n = self.nodes[r as usize];
-        if n.var == TERMINAL_VAR {
-            u32::MAX
-        } else {
-            self.var2level[n.var as usize]
-        }
+        self.nodes[r as usize].var
     }
 
     /// Hash-consing constructor: `if var then hi else lo`.
@@ -453,8 +430,8 @@ impl Bdd {
         if lo == hi {
             return Ok(lo);
         }
-        debug_assert!(self.level(lo.0) > self.var2level[var as usize]);
-        debug_assert!(self.level(hi.0) > self.var2level[var as usize]);
+        debug_assert!(self.level(lo.0) > var);
+        debug_assert!(self.level(hi.0) > var);
         let key = Node {
             var,
             lo: lo.0,
@@ -484,7 +461,6 @@ impl Bdd {
         let idx = self.nodes.len() as u32;
         self.nodes.push(key);
         self.unique.insert(key, idx);
-        self.var_nodes[var as usize].push(idx);
         Ok(Ref(idx))
     }
 
@@ -493,8 +469,9 @@ impl Bdd {
     /// If the root of `f` sits below `level`, both cofactors are `f`.
     #[inline]
     pub(crate) fn cofactors_at_level(&self, f: Ref, level: u32) -> (Ref, Ref) {
+        debug_assert_ne!(level, TERMINAL_VAR);
         let n = self.node(f.0);
-        if n.var != TERMINAL_VAR && self.var2level[n.var as usize] == level {
+        if n.var == level {
             (Ref(n.lo), Ref(n.hi))
         } else {
             (f, f)
@@ -527,13 +504,12 @@ impl Bdd {
         let lg = self.level(g.0);
         let lh = self.level(h.0);
         let top = lf.min(lg).min(lh);
-        let var = self.level2var[top as usize];
         let (f0, f1) = self.cofactors_at_level(f, top);
         let (g0, g1) = self.cofactors_at_level(g, top);
         let (h0, h1) = self.cofactors_at_level(h, top);
         let t = self.try_ite(f1, g1, h1)?;
         let e = self.try_ite(f0, g0, h0)?;
-        let r = self.mk(var, e, t)?;
+        let r = self.mk(top, e, t)?;
         self.computed.insert(f.0, g.0, h.0, r.0);
         Ok(r)
     }
@@ -747,48 +723,16 @@ impl Bdd {
         self.computed.clear();
     }
 
-    /// Reclaims nodes unreachable from `roots`, compacting the arena.
-    ///
-    /// Returns the re-mapped handles corresponding to `roots`, in order.
-    /// All other outstanding handles are invalidated.
-    pub fn collect_garbage(&mut self, roots: &[Ref]) -> Vec<Ref> {
-        let mut mark = vec![false; self.nodes.len()];
-        mark[0] = true;
-        mark[1] = true;
-        let mut stack: Vec<u32> = roots.iter().map(|r| r.0).collect();
-        while let Some(i) = stack.pop() {
-            if mark[i as usize] {
-                continue;
-            }
-            mark[i as usize] = true;
-            let n = self.nodes[i as usize];
-            if !n.is_terminal() {
-                stack.push(n.lo);
-                stack.push(n.hi);
-            }
-        }
-        let mut remap = vec![u32::MAX; self.nodes.len()];
-        let mut new_nodes = Vec::with_capacity(self.nodes.len());
-        for (i, node) in self.nodes.iter().enumerate() {
-            if mark[i] {
-                remap[i] = new_nodes.len() as u32;
-                new_nodes.push(*node);
-            }
-        }
-        for node in new_nodes.iter_mut().skip(2) {
-            node.lo = remap[node.lo as usize];
-            node.hi = remap[node.hi as usize];
-        }
-        self.nodes = new_nodes;
-        self.unique.rebuild(&self.nodes);
-        for list in &mut self.var_nodes {
-            list.clear();
-        }
-        for (i, node) in self.nodes.iter().enumerate().skip(2) {
-            self.var_nodes[node.var as usize].push(i as u32);
-        }
-        self.clear_caches();
-        roots.iter().map(|r| Ref(remap[r.0 as usize])).collect()
+    /// Sanity check: the unique table registers every decision node
+    /// once, each reachable by probing from its key's home slot, and
+    /// every node's children are strictly below it. Used by tests;
+    /// linear in arena size.
+    pub fn check_invariants(&self) -> bool {
+        self.unique.len() == self.nodes.len() - 2
+            && self.unique.is_consistent(&self.nodes)
+            && self.nodes[2..]
+                .iter()
+                .all(|n| self.level(n.lo) > n.var && self.level(n.hi) > n.var)
     }
 }
 
@@ -977,28 +921,6 @@ mod tests {
             bdd.try_and(na, c)
         });
         assert_eq!(r, Err(BddError::Cancelled));
-    }
-
-    #[test]
-    fn garbage_collection_preserves_roots() {
-        let (mut bdd, x, y, z) = setup();
-        let keep = bdd.ite(x, y, z);
-        // Create garbage.
-        for _ in 0..10 {
-            let t = bdd.xor(x, z);
-            let _ = bdd.and(t, y);
-        }
-        let before_eval: Vec<bool> = (0..8u32)
-            .map(|b| bdd.eval(keep, &[(b & 1) != 0, (b & 2) != 0, (b & 4) != 0]))
-            .collect();
-        let total_before = bdd.node_count();
-        let remapped = bdd.collect_garbage(&[keep]);
-        assert!(bdd.node_count() <= total_before);
-        let keep2 = remapped[0];
-        let after_eval: Vec<bool> = (0..8u32)
-            .map(|b| bdd.eval(keep2, &[(b & 1) != 0, (b & 2) != 0, (b & 4) != 0]))
-            .collect();
-        assert_eq!(before_eval, after_eval);
     }
 
     #[test]

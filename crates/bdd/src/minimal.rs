@@ -18,8 +18,7 @@ use crate::node::{Ref, Var};
 struct LatticeCtx {
     /// Is this variable part of the lattice order (by var index)?
     mask: Vec<bool>,
-    /// Levels of the lattice variables, sorted ascending. Rebuilt per call
-    /// so reordering between calls is safe.
+    /// Levels (indices) of the lattice variables, sorted ascending.
     ordered_levels: Vec<u32>,
 }
 
@@ -39,7 +38,7 @@ impl Bdd {
         let mut levels = Vec::with_capacity(vars.len());
         for v in vars {
             mask[v.index()] = true;
-            levels.push(self.var2level[v.index()]);
+            levels.push(v.0);
         }
         levels.sort_unstable();
         LatticeCtx {
@@ -165,11 +164,7 @@ impl Bdd {
         }
         // The next level where something can happen: either the root of f
         // or a lattice variable that must be forced to 0.
-        let node_level = if f.is_const() {
-            u32::MAX
-        } else {
-            self.level(f.0)
-        };
+        let node_level = self.level(f.0);
         let lattice_level = ctx.next_lattice_level(from_level);
         let l = node_level.min(lattice_level);
         if l == u32::MAX {
@@ -180,19 +175,18 @@ impl Bdd {
         if let Some(&r) = min_cache.get(&key) {
             return Ok(Ref(r));
         }
-        let var = self.level2var[l as usize];
         let (f0, f1) = self.cofactors_at_level(f, l);
-        let r = if ctx.mask[var as usize] {
+        let r = if ctx.mask[l as usize] {
             let lo = self.min_rec(f0, l + 1, ctx, min_cache, up_cache)?;
             let m1 = self.min_rec(f1, l + 1, ctx, min_cache, up_cache)?;
             let u0 = self.up_rec(f0, ctx, up_cache)?;
             let nu0 = self.try_not(u0)?;
             let hi = self.try_and(m1, nu0)?;
-            self.mk(var, lo, hi)?
+            self.mk(l, lo, hi)?
         } else {
             let lo = self.min_rec(f0, l + 1, ctx, min_cache, up_cache)?;
             let hi = self.min_rec(f1, l + 1, ctx, min_cache, up_cache)?;
-            self.mk(var, lo, hi)?
+            self.mk(l, lo, hi)?
         };
         min_cache.insert(key, r.0);
         Ok(r)
@@ -236,11 +230,7 @@ impl Bdd {
         if f.is_false() {
             return Ok(Ref::FALSE);
         }
-        let node_level = if f.is_const() {
-            u32::MAX
-        } else {
-            self.level(f.0)
-        };
+        let node_level = self.level(f.0);
         let lattice_level = ctx.next_lattice_level(from_level);
         let l = node_level.min(lattice_level);
         if l == u32::MAX {
@@ -250,19 +240,18 @@ impl Bdd {
         if let Some(&r) = max_cache.get(&key) {
             return Ok(Ref(r));
         }
-        let var = self.level2var[l as usize];
         let (f0, f1) = self.cofactors_at_level(f, l);
-        let r = if ctx.mask[var as usize] {
+        let r = if ctx.mask[l as usize] {
             let hi = self.max_rec(f1, l + 1, ctx, max_cache, down_cache)?;
             let m0 = self.max_rec(f0, l + 1, ctx, max_cache, down_cache)?;
             let d1 = self.down_rec(f1, ctx, down_cache)?;
             let nd1 = self.try_not(d1)?;
             let lo = self.try_and(m0, nd1)?;
-            self.mk(var, lo, hi)?
+            self.mk(l, lo, hi)?
         } else {
             let lo = self.max_rec(f0, l + 1, ctx, max_cache, down_cache)?;
             let hi = self.max_rec(f1, l + 1, ctx, max_cache, down_cache)?;
-            self.mk(var, lo, hi)?
+            self.mk(l, lo, hi)?
         };
         max_cache.insert(key, r.0);
         Ok(r)

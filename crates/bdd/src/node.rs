@@ -5,13 +5,13 @@ use std::fmt;
 /// Index of a decision variable.
 ///
 /// Variables are created with [`crate::Bdd::fresh_var`] and are identified
-/// by a dense index that never changes, even when dynamic reordering moves
-/// the variable to a different *level* of the diagram.
+/// by a dense index. The order is the creation order, so the index is
+/// also the variable's *level* in every diagram (0 = topmost).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Var(pub(crate) u32);
 
 impl Var {
-    /// Dense index of this variable (stable across reordering).
+    /// Dense index of this variable, which is also its level.
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize

@@ -100,74 +100,6 @@ impl Bdd {
         Ok(r)
     }
 
-    /// Combined `∃ vars . (f · g)` without building the full conjunction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node limit is exceeded.
-    pub fn and_exists(&mut self, f: Ref, g: Ref, vars: &[Var]) -> Ref {
-        self.try_and_exists(f, g, vars)
-            .expect("bdd node limit exceeded")
-    }
-
-    /// Fallible form of [`Bdd::and_exists`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::BddError`] if the node limit would be
-    /// exceeded.
-    pub fn try_and_exists(&mut self, f: Ref, g: Ref, vars: &[Var]) -> BddResult<Ref> {
-        let mask = self.var_mask(vars);
-        let mut cache = FxHashMap::default();
-        self.and_exists_rec(f, g, &mask, &mut cache)
-    }
-
-    fn and_exists_rec(
-        &mut self,
-        f: Ref,
-        g: Ref,
-        mask: &[bool],
-        cache: &mut FxHashMap<(u32, u32), u32>,
-    ) -> BddResult<Ref> {
-        self.poll_governor()?;
-        if f.is_false() || g.is_false() {
-            return Ok(Ref::FALSE);
-        }
-        if f.is_true() && g.is_true() {
-            return Ok(Ref::TRUE);
-        }
-        if f.is_true() {
-            return self.quant_rec(g, mask, true, &mut FxHashMap::default());
-        }
-        if g.is_true() {
-            return self.quant_rec(f, mask, true, &mut FxHashMap::default());
-        }
-        let key = if f.0 <= g.0 { (f.0, g.0) } else { (g.0, f.0) };
-        if let Some(&r) = cache.get(&key) {
-            return Ok(Ref(r));
-        }
-        let lf = self.level(f.0);
-        let lg = self.level(g.0);
-        let top = lf.min(lg);
-        let var = self.level2var[top as usize];
-        let (f0, f1) = self.cofactors_at_level(f, top);
-        let (g0, g1) = self.cofactors_at_level(g, top);
-        let lo = self.and_exists_rec(f0, g0, mask, cache)?;
-        let r = if mask[var as usize] {
-            if lo.is_true() {
-                Ref::TRUE
-            } else {
-                let hi = self.and_exists_rec(f1, g1, mask, cache)?;
-                self.try_or(lo, hi)?
-            }
-        } else {
-            let hi = self.and_exists_rec(f1, g1, mask, cache)?;
-            self.mk(var, lo, hi)?
-        };
-        cache.insert(key, r.0);
-        Ok(r)
-    }
-
     /// The set of variables `f` actually depends on, in index order.
     pub fn support(&self, f: Ref) -> Vec<Var> {
         let mut seen = FxHashSet::default();
@@ -223,30 +155,6 @@ mod tests {
         let dual = bdd.not(e);
         let direct = bdd.forall(f, &[x]);
         assert_eq!(dual, direct);
-    }
-
-    #[test]
-    fn and_exists_matches_composition() {
-        let mut bdd = Bdd::new();
-        let vs = bdd.fresh_vars(4);
-        let a = bdd.var(vs[0]);
-        let b = bdd.var(vs[1]);
-        let c = bdd.var(vs[2]);
-        let d = bdd.var(vs[3]);
-        let f = {
-            let t = bdd.xor(a, b);
-            bdd.or(t, c)
-        };
-        let g = {
-            let t = bdd.and(b, d);
-            bdd.or(t, a)
-        };
-        let direct = {
-            let t = bdd.and(f, g);
-            bdd.exists(t, &[vs[1], vs[3]])
-        };
-        let fused = bdd.and_exists(f, g, &[vs[1], vs[3]]);
-        assert_eq!(direct, fused);
     }
 
     #[test]

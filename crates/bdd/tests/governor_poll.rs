@@ -4,7 +4,7 @@
 //!
 //! Each test arranges a traversal that creates **no fresh nodes** —
 //! every `mk`/`ite` call hits a cache — so before polls were added to
-//! `isop`/`quant`/reorder entry points, an already-expired deadline
+//! the `isop`/`quant` entry points, an already-expired deadline
 //! was never noticed and the call ran to completion. The traversals
 //! here are small; what matters is that the expired deadline is seen
 //! *at all*, and promptly (each poll is at most ~1024 cheap recursion
@@ -50,15 +50,6 @@ fn quantifying_an_unused_var_respects_the_deadline() {
 }
 
 #[test]
-fn and_exists_respects_the_deadline() {
-    let mut bdd = Bdd::new();
-    let f = pairs(&mut bdd, 6);
-    let unused = bdd.fresh_var();
-    bdd.set_deadline(expired());
-    assert_eq!(bdd.try_and_exists(f, f, &[unused]), Err(BddError::Deadline));
-}
-
-#[test]
 fn warmed_isop_respects_the_deadline() {
     let mut bdd = Bdd::new();
     let f = pairs(&mut bdd, 6);
@@ -72,21 +63,6 @@ fn warmed_isop_respects_the_deadline() {
         Err(BddError::Deadline),
         "deadline must bind in isop even when every subcall hits a cache"
     );
-}
-
-#[test]
-fn reorder_respects_the_deadline() {
-    let mut bdd = Bdd::new();
-    // One small function plus many unused variables: sifting performs
-    // long runs of swaps in which no candidate node interacts with its
-    // neighbour level, so no `mk` is ever reached.
-    let vs = bdd.fresh_vars(2);
-    let a = bdd.var(vs[0]);
-    let b = bdd.var(vs[1]);
-    let f = bdd.and(a, b);
-    bdd.fresh_vars(30);
-    bdd.set_deadline(expired());
-    assert_eq!(bdd.try_reduce(&[f]), Err(BddError::Deadline));
 }
 
 #[test]

@@ -183,36 +183,6 @@ fn cubes_cover_exactly() {
 }
 
 #[test]
-fn reorder_preserves_function() {
-    for seed in 0..32u64 {
-        let mut rng = Rng::seed_from_u64(0x0EDE + seed);
-        let e = gen_expr(&mut rng, 4);
-        let mut bdd = Bdd::new();
-        let vars = bdd.fresh_vars(NVARS);
-        let f = build(&mut bdd, &vars, &e);
-        let before: Vec<bool> = assignments().map(|a| bdd.eval(f, &a)).collect();
-        let mut order: Vec<Var> = vars.clone();
-        rng.shuffle(&mut order);
-        bdd.set_order(&order);
-        assert!(bdd.check_invariants());
-        let after: Vec<bool> = assignments().map(|a| bdd.eval(f, &a)).collect();
-        assert_eq!(before, after, "{e:?} under {order:?}");
-    }
-}
-
-#[test]
-fn sifting_preserves_function() {
-    for_random_exprs(32, |bdd, vars, e| {
-        let f = build(bdd, vars, e);
-        let before: Vec<bool> = assignments().map(|a| bdd.eval(f, &a)).collect();
-        let roots = bdd.reduce(&[f]);
-        assert!(bdd.check_invariants());
-        let after: Vec<bool> = assignments().map(|a| bdd.eval(roots[0], &a)).collect();
-        assert_eq!(before, after, "{e:?}");
-    });
-}
-
-#[test]
 fn minimal_elements_are_minimal_and_complete() {
     for_random_exprs(32, |bdd, vars, e| {
         let f = build(bdd, vars, e);

@@ -1,6 +1,5 @@
-//! Micro-benchmarks for the BDD substrate: global-function construction,
-//! sifting reorder, and the minimal-elements operator that powers the
-//! exact analysis. Plain std-timer benches (`cargo bench -p xrta-bench
+//! Micro-benchmarks for the BDD substrate: global-function construction
+//! and the minimal-elements operator that powers the exact analysis. Plain std-timer benches (`cargo bench -p xrta-bench
 //! --bench bdd_ops`); the workspace builds offline, so `criterion` is
 //! not available.
 
@@ -26,17 +25,6 @@ fn bench_global_build() {
     });
 }
 
-fn bench_sifting() {
-    let net = carry_skip_adder(10, 4).expect("valid adder");
-    microbench("bdd_sifting/reduce_carry_skip10", 10, || {
-        let mut bdd = Bdd::new();
-        let gl = GlobalBdds::build(&mut bdd, &net).expect("within limit");
-        let roots: Vec<_> = net.outputs().iter().map(|&o| gl.of(o)).collect();
-        let reduced = bdd.reduce(&roots);
-        (bdd.node_count(), reduced.len())
-    });
-}
-
 fn bench_minimal() {
     let net = carry_skip_adder(8, 4).expect("valid adder");
     let mut bdd = Bdd::new();
@@ -50,6 +38,5 @@ fn bench_minimal() {
 
 fn main() {
     bench_global_build();
-    bench_sifting();
     bench_minimal();
 }

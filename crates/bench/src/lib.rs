@@ -94,7 +94,6 @@ pub fn run_exact(net: &Network, node_cap: usize) -> RunOutcome {
         &req,
         ExactOptions {
             node_limit: node_cap,
-            reorder: false,
         },
     ) {
         Ok(mut analysis) => RunOutcome::Done {

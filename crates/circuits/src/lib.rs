@@ -29,4 +29,4 @@ pub use chains::{bypass_chain, comparator, parity_tree, priority_chain, shared_s
 pub use examples::{c17, fig4, fig6, two_mux_bypass};
 pub use mult::array_multiplier;
 pub use random_dag::{random_circuit, RandomCircuitSpec};
-pub use suite::{block_circuit, iscas_rows, mcnc_rows, SuiteRow};
+pub use suite::{block_circuit, iscas_rows, mcnc_rows, BlockStyle, SuiteRow};

@@ -24,8 +24,6 @@ pub struct Approx1Options {
     /// approximation that halves the parameter count but cannot
     /// distinguish rise from fall requirements).
     pub value_independent: bool,
-    /// Sift the BDD after construction.
-    pub reorder: bool,
     /// Cap on the number of primes enumerated.
     pub max_conditions: usize,
 }
@@ -35,7 +33,6 @@ impl Default for Approx1Options {
         Approx1Options {
             node_limit: 1 << 22,
             value_independent: false,
-            reorder: false,
             max_conditions: 64,
         }
     }
@@ -133,12 +130,7 @@ pub fn approx1_required_times_governed<D: DelayModel>(
         constraint = bdd.try_and(constraint, c0)?;
     }
     let leaves = engine.leaves;
-    let mut f = bdd.try_forall(constraint, &x_vars)?;
-
-    if options.reorder {
-        let roots = bdd.try_reduce(&[f])?;
-        f = roots[0];
-    }
+    let f = bdd.try_forall(constraint, &x_vars)?;
 
     // `F(α,β)` exists: disarm the governor so prime enumeration (which
     // uses the panicking BDD operations) runs to completion instead of

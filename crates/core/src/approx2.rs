@@ -60,6 +60,7 @@ use xrta_timing::{required_times, DelayModel, TableDelay, Time};
 use crate::dominance::ConeFrontiers;
 use crate::governor::{AnalysisError, Budget};
 use crate::plan::plan_leaves;
+use crate::types::RequiredTimeTuple;
 
 /// Rungs probed per bisection round of the galloping ascent. Two
 /// trisection probes per round give every cone batch two rungs to
@@ -180,10 +181,10 @@ impl Approx2Result {
     /// The maximal points as [`RequiredTimeTuple`]s (uniform deadlines,
     /// since this analysis is value-independent) — the same type the
     /// exact and parametric analyses report, for uniform consumption.
-    pub fn maximal_conditions(&self) -> Vec<crate::types::RequiredTimeTuple> {
+    pub fn maximal_conditions(&self) -> Vec<RequiredTimeTuple> {
         self.maximal
             .iter()
-            .map(|r| crate::types::RequiredTimeTuple::uniform(r))
+            .map(|r| RequiredTimeTuple::uniform(r))
             .collect()
     }
 }

@@ -27,16 +27,12 @@ pub struct ExactOptions {
     /// BDD node limit; exceeding it aborts with
     /// [`AnalysisError::Capacity`] (the paper's `memory out` rows).
     pub node_limit: usize,
-    /// Run sifting reorder after construction (the paper enables dynamic
-    /// reordering for its exact runs).
-    pub reorder: bool,
 }
 
 impl Default for ExactOptions {
     fn default() -> Self {
         ExactOptions {
             node_limit: 1 << 22,
-            reorder: false,
         }
     }
 }
@@ -128,13 +124,7 @@ pub fn exact_required_times_governed<D: DelayModel>(
     relation = bdd.try_and(relation, ord)?;
 
     let leaf_list = leaves.leaf_var_list();
-    let mut latest = bdd.try_minimal_wrt(relation, &leaf_list)?;
-
-    if options.reorder {
-        let roots = bdd.try_reduce(&[relation, latest])?;
-        relation = roots[0];
-        latest = roots[1];
-    }
+    let latest = bdd.try_minimal_wrt(relation, &leaf_list)?;
 
     let topo_net_required = required_times(net, model, output_required);
     let topo_required = net
@@ -459,36 +449,9 @@ mod tests {
             &net,
             &UnitDelay,
             &[Time::new(2)],
-            ExactOptions {
-                node_limit: 12,
-                reorder: false,
-            },
+            ExactOptions { node_limit: 12 },
         );
         assert!(r.is_err());
-    }
-
-    #[test]
-    fn reorder_preserves_results() {
-        let mut plain = analysis();
-        let mut reordered = exact_required_times(
-            &fig4(),
-            &UnitDelay,
-            &[Time::new(2)],
-            ExactOptions {
-                reorder: true,
-                ..ExactOptions::default()
-            },
-        )
-        .unwrap();
-        for m in 0..4usize {
-            let x = [(m & 1) != 0, (m & 2) != 0];
-            let mut a = plain.latest_tuples(&x);
-            let mut b = reordered.latest_tuples(&x);
-            let key = |t: &RequiredTimeTuple| format!("{t}");
-            a.sort_by_key(key);
-            b.sort_by_key(key);
-            assert_eq!(a, b, "minterm {m}");
-        }
     }
 
     #[test]

@@ -72,7 +72,7 @@ impl MacroModel {
 /// The true pin-to-pin delay from input `i` is obtained by the paper's
 /// χ machinery: set `arr(i) = 0` and every other arrival to `−∞`
 /// ("already stable"), then take the true arrival time at each output —
-/// exactly the sensitizable-delay semantics of [7].
+/// exactly the sensitizable-delay semantics of \[7\].
 ///
 /// # Panics
 ///

@@ -405,7 +405,6 @@ fn check_exact(
     let budget = Budget::unlimited();
     let e_opts = ExactOptions {
         node_limit: opts.exact_node_limit,
-        ..ExactOptions::default()
     };
     let mut exact = match exact_required_times_governed(net, &UnitDelay, req, e_opts, &budget) {
         Ok(a) => a,

@@ -20,7 +20,7 @@
 //!   case loop, time cap, cancel flag, corpus filing and progress
 //!   lines, around a per-case step supplied by [`harness`], [`edits`]
 //!   or [`mod@resynth_fuzz`].
-//! * [`shrink`] — greedy netlist minimisation (drop outputs, bypass
+//! * [`mod@shrink`] — greedy netlist minimisation (drop outputs, bypass
 //!   gates, ground inputs) that turns a failing random DAG into a
 //!   readable reproducer.
 //! * [`corpus`] — `.bench`-based persistence for shrunk failures in

@@ -20,6 +20,11 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Doc warnings are errors: an intra-doc link to a deleted or private
+# item fails here instead of dangling in the rendered docs.
+echo "==> cargo doc --workspace --no-deps (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # The benchmark is a package of its own that compiles against the
 # workspace crates' public items, so an API change must break here,
 # not first when the benchmark runs. Building it may add dependency

@@ -6,7 +6,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`bdd`] | `xrta-bdd` | BDD package with minimal-element operators and sifting |
+//! | [`bdd`] | `xrta-bdd` | BDD package with minimal-element operators |
 //! | [`sat`] | `xrta-sat` | CDCL SAT solver with assumptions and budgets |
 //! | [`network`] | `xrta-network` | Boolean networks, BLIF/BENCH io, primes, cones |
 //! | [`timing`] | `xrta-timing` | topological arrival/required/slack (Figure 3) |
