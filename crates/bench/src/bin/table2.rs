@@ -11,7 +11,8 @@
 //! available parallelism), and every row lands in a machine-readable
 //! JSON report (`--json`, default `BENCH_reqtime.json`).
 //! `--baseline OLD.json` diffs the fresh run against a previous report
-//! and prints per-circuit wall/call regressions.
+//! and prints per-circuit wall/call regressions and changed answers
+//! (`maximal_fnv`, a digest of each row's maximal points).
 //!
 //! Usage:
 //!
@@ -43,6 +44,9 @@ struct Record {
     cache_hit_rate: f64,
     batches: usize,
     batched_probes: usize,
+    /// `xrta_bench::maximal_fnv` of the row's maximal points, so two
+    /// reports show whether a search found the same answer.
+    maximal_fnv: u64,
     /// Output cones the incremental (delta) path would slice this
     /// circuit into.
     cones: usize,
@@ -139,7 +143,7 @@ fn render_json(budget: Duration, records: &[Record], resynth: &[ResynthRecord]) 
              \"nontrivial\": {}, \"completed\": {}, \
              \"first_nontrivial_secs\": {}, \"wall_secs\": {:.4}, \
              \"oracle_calls\": {}, \"cache_hits\": {}, \"cache_hit_rate\": {:.4}, \
-             \"batches\": {}, \"batched_probes\": {}, \
+             \"batches\": {}, \"batched_probes\": {}, \"maximal_fnv\": \"{:016x}\", \
              \"cones\": {}, \"cone_distinct\": {}, \"cone_dup_hits\": {}, \
              \"peak_mem\": {}}}{}",
             escape(&r.circuit),
@@ -152,6 +156,7 @@ fn render_json(budget: Duration, records: &[Record], resynth: &[ResynthRecord]) 
             r.cache_hit_rate,
             r.batches,
             r.batched_probes,
+            r.maximal_fnv,
             r.cones,
             r.cone_distinct,
             r.cone_dup_hits,
@@ -183,9 +188,9 @@ fn render_json(budget: Duration, records: &[Record], resynth: &[ResynthRecord]) 
 }
 
 /// One row of a previous report: `(circuit, wall_secs, oracle_calls,
-/// peak_mem)`. `peak_mem` is 0 for reports written before the column
-/// existed.
-type BaselineRow = (String, f64, usize, u64);
+/// peak_mem, maximal_fnv)`. `peak_mem` is 0, and `maximal_fnv` `None`,
+/// for reports written before the column existed.
+type BaselineRow = (String, f64, usize, u64, Option<u64>);
 
 /// The row objects carrying `key` in a report this binary wrote
 /// earlier. Every row is one flat object on its own line, so each line
@@ -213,13 +218,16 @@ fn parse_baseline(text: &str) -> Vec<BaselineRow> {
                 f.opt("wall_secs")?.parse().ok()?,
                 f.opt("oracle_calls")?.parse().ok()?,
                 f.opt("peak_mem").and_then(|v| v.parse().ok()).unwrap_or(0),
+                f.opt("maximal_fnv")
+                    .and_then(|v| u64::from_str_radix(v, 16).ok()),
             ))
         })
         .collect()
 }
 
 /// Prints per-circuit wall/call deltas of `records` against a previous
-/// report, flagging regressions beyond the noise floor.
+/// report, flagging regressions beyond the noise floor and completed
+/// searches whose maximal points differ from the report's.
 fn print_baseline_diff(baseline: &[BaselineRow], records: &[Record]) {
     const WALL_NOISE: f64 = 1.15; // 1-core containers jitter ±15%
     const WALL_FLOOR_S: f64 = 0.05; // don't flag microsecond rows
@@ -234,7 +242,8 @@ fn print_baseline_diff(baseline: &[BaselineRow], records: &[Record]) {
     let mut rows = Vec::new();
     let mut regressions = 0;
     for r in records {
-        let Some((_, old_wall, old_calls, old_mem)) = baseline.iter().find(|b| b.0 == r.circuit)
+        let Some((_, old_wall, old_calls, old_mem, old_fnv)) =
+            baseline.iter().find(|b| b.0 == r.circuit)
         else {
             continue;
         };
@@ -253,9 +262,15 @@ fn print_baseline_diff(baseline: &[BaselineRow], records: &[Record]) {
         } else {
             1.0
         };
+        let answers = match old_fnv {
+            Some(old) if r.completed && *old != r.maximal_fnv => "CHANGED",
+            Some(_) if r.completed => "same",
+            _ => "-",
+        };
         let regressed = (wall_delta > WALL_NOISE && r.wall_s > WALL_FLOOR_S)
             || call_delta > 1.1
-            || (mem_delta > MEM_NOISE && r.peak_mem > MEM_FLOOR);
+            || (mem_delta > MEM_NOISE && r.peak_mem > MEM_FLOOR)
+            || answers == "CHANGED";
         if regressed {
             regressions += 1;
         }
@@ -269,6 +284,7 @@ fn print_baseline_diff(baseline: &[BaselineRow], records: &[Record]) {
             format!("{:+.0}%", (call_delta - 1.0) * 100.0),
             format!("{:.1}M", *old_mem as f64 / (1 << 20) as f64),
             format!("{:.1}M", r.peak_mem as f64 / (1 << 20) as f64),
+            answers.to_string(),
             if regressed { "REGRESSED" } else { "ok" }.to_string(),
         ]);
     }
@@ -287,6 +303,7 @@ fn print_baseline_diff(baseline: &[BaselineRow], records: &[Record]) {
             "calls Δ",
             "mem old",
             "mem new",
+            "answers",
             "verdict",
         ],
         &rows,
@@ -468,6 +485,7 @@ fn main() {
                                 cache_hit_rate: rep.cache_hit_rate,
                                 batches: rep.batches,
                                 batched_probes: rep.batched_probes,
+                                maximal_fnv: rep.maximal_fnv,
                                 cones,
                                 cone_distinct,
                                 cone_dup_hits: cones - cone_distinct,
@@ -583,6 +601,7 @@ mod tests {
             cache_hit_rate: 0.25,
             batches: 2,
             batched_probes: 4,
+            maximal_fnv: 0x0123_4567_89ab_cdef,
             cones: 7,
             cone_distinct: 5,
             cone_dup_hits: 2,
@@ -606,8 +625,20 @@ mod tests {
         assert_eq!(
             parse_baseline(&text),
             vec![
-                ("C432".to_string(), 1.25, 40, 3 << 20),
-                ("C880".to_string(), 0.5, 12, 3 << 20),
+                (
+                    "C432".to_string(),
+                    1.25,
+                    40,
+                    3 << 20,
+                    Some(0x0123_4567_89ab_cdef)
+                ),
+                (
+                    "C880".to_string(),
+                    0.5,
+                    12,
+                    3 << 20,
+                    Some(0x0123_4567_89ab_cdef)
+                ),
             ]
         );
         assert_eq!(
@@ -626,7 +657,7 @@ mod tests {
                    \"wall_secs\": 0.0017, \"oracle_calls\": 55}\n  ],\n";
         assert_eq!(
             parse_baseline(old),
-            vec![("C432".to_string(), 0.0019, 52, 0)]
+            vec![("C432".to_string(), 0.0019, 52, 0, None)]
         );
     }
 
@@ -644,7 +675,7 @@ mod tests {
                    \"peak_mem\": 19704}\n  ],\n";
         assert_eq!(
             parse_baseline(old),
-            vec![("C499".to_string(), 0.0012, 71, 18704)]
+            vec![("C499".to_string(), 0.0012, 71, 18704, None)]
         );
     }
 }

@@ -16,7 +16,7 @@ use xrta_core::{
     Approx2Options, Budget, ExactOptions,
 };
 use xrta_network::Network;
-use xrta_timing::{Time, UnitDelay};
+use xrta_timing::{tokens, Time, UnitDelay};
 
 /// Outcome of one algorithm run on one circuit.
 #[derive(Clone, Debug)]
@@ -148,6 +148,22 @@ pub struct Approx2Report {
     pub batches: usize,
     /// Probes that rode a multi-rung batch (engine state reused).
     pub batched_probes: usize,
+    /// [`maximal_fnv`] of the maximal points found.
+    pub maximal_fnv: u64,
+}
+
+/// FNV-1a 64 over `maximal` sorted, one point per line in the
+/// required-time token encoding: a digest of a search's answer that
+/// ignores the order the climbs found the points in.
+pub fn maximal_fnv(maximal: &[Vec<Time>]) -> u64 {
+    let mut points: Vec<&Vec<Time>> = maximal.iter().collect();
+    points.sort();
+    let mut h = xrta_rng::Fnv64::default();
+    for p in points {
+        h.write(tokens::encode_times(p).as_bytes());
+        h.write(b"\n");
+    }
+    h.finish()
 }
 
 /// Runs the lattice-climbing algorithm (§4.3) under a wall-clock budget
@@ -192,6 +208,7 @@ pub fn run_approx2(net: &Network, budget: Duration) -> Approx2Report {
         cache_hit_rate: r.cache_hit_rate(),
         batches: r.batches,
         batched_probes: r.batched_probes,
+        maximal_fnv: maximal_fnv(&r.maximal),
     }
 }
 
@@ -277,6 +294,16 @@ mod tests {
         assert!(a1.nontrivial());
         let a2 = run_approx2(&net, Duration::from_secs(30));
         assert!(matches!(a2.outcome, RunOutcome::Done { .. }));
+    }
+
+    #[test]
+    fn maximal_fnv_ignores_point_order() {
+        let p = |v: &[i64]| v.iter().map(|&t| Time::new(t)).collect::<Vec<_>>();
+        let (a, b) = (p(&[0, 2]), p(&[1, 0]));
+        let digest = maximal_fnv(&[a.clone(), b.clone()]);
+        assert_eq!(digest, maximal_fnv(&[b.clone(), a.clone()]));
+        assert_eq!(digest, xrta_rng::fnv1a64(b"0 2\n1 0\n"));
+        assert_ne!(digest, maximal_fnv(&[a]));
     }
 
     #[test]

@@ -11,13 +11,13 @@
 //! ## Oracle architecture
 //!
 //! The safety oracle is decomposed per output cone: each primary output
-//! gets its own standalone cone network ([`Network::extract_cone`]) with
-//! its own delay table, so each stability check runs a private χ engine
-//! over just that cone. The climb is sequential (each raise depends on
-//! the last verdict), and so is each **round**, the cone checks of the
-//! rungs of one coordinate under test: they run one after another on
-//! the calling thread, so a rung one cone disproves is skipped by every
-//! later cone of the round.
+//! gets the canonical cone network of [`slice_cones`], with its delay
+//! table, so each stability check runs a private χ engine over just
+//! that cone. The climb is sequential (each raise depends on the last
+//! verdict), and so is each **round**, the cone checks of the rungs of
+//! one coordinate under test: they run one after another on the calling
+//! thread, so a rung one cone disproves is skipped by every later cone
+//! of the round.
 //!
 //! - **Batched probes** — every pending `(cone, rung)` probe of a round
 //!   is grouped by cone into one [`Batch`]. A batch's SAT probes share
@@ -31,32 +31,38 @@
 //!   cone first from then on ([`order_round`]). The rule reads counts
 //!   only, never a clock, so a search that no deadline stops makes the
 //!   same oracle calls on every run and every host.
-//! - **Per-cone frontiers** — cone verdicts are pure facts about
-//!   `(cone, projected arrivals)`, stored in one dominance frontier per
-//!   cone ([`ConeFrontiers`]). A verdict prunes every later probe of
-//!   that cone.
+//! - **Per-class frontiers** — a cone verdict is a pure fact about
+//!   `(descriptor, canonical projection)`: the canonical descriptor
+//!   fixes the cone's structure, delays and required time, and a
+//!   projection lists the arrivals in the canonical input order. Cones
+//!   with equal descriptors (the isomorphic outputs of block circuits)
+//!   form one class, and each class keeps one dominance frontier
+//!   ([`ConeFrontiers`]). A verdict proved on one cone prunes every
+//!   later probe of every cone in its class.
 //!
-//! Raising coordinate `i` only re-validates cones whose transitive
-//! input support contains `i` (precomputed
-//! [`Network::output_support_masks`]); every other cone inherits its
-//! verdict from the current safe point. Safety is monotone decreasing
-//! in the pointwise order, so each cone's frontier answers its
-//! projections by dominance: a rung is unsafe once one relevant cone's
-//! projection is, safe once all are. That is all a whole-vector cache
-//! could know, as the bottom is seeded per cone and every raise
-//! re-validates the cones supporting it. The per-coordinate climb
-//! gallops: next rung, top rung, then bisect the frontier.
+//! Raising coordinate `i` only re-validates the cones that read input
+//! `i` (a per-input list built from the cones' canonical inputs); every
+//! other cone inherits its verdict from the current safe point. Safety
+//! is monotone decreasing in the pointwise order, so each class's
+//! frontier answers its projections by dominance: a rung is unsafe
+//! once one relevant cone's projection is, safe once all are. That is
+//! all a whole-vector cache could know, as the bottom is seeded per
+//! cone and every raise re-validates the cones reading it. The
+//! per-coordinate climb gallops: next rung, top rung, then bisect the
+//! frontier.
 
 use std::cmp::Reverse;
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use xrta_bdd::{BddError, FxHashMap};
+use xrta_bdd::BddError;
 use xrta_chi::{ChiSatEngine, EngineKind, FunctionalTiming, Stability};
 use xrta_network::{Network, NodeId};
 use xrta_sat::StopReason;
 use xrta_timing::{required_times, DelayModel, TableDelay, Time};
 
+use crate::cone::slice_cones;
 use crate::dominance::ConeFrontiers;
 use crate::governor::{AnalysisError, Budget};
 use crate::plan::plan_leaves;
@@ -132,9 +138,10 @@ pub struct Approx2Result {
     pub total_time: Duration,
     /// Oracle invocations (χ-engine runs; cache hits excluded).
     pub oracle_calls: usize,
-    /// Per-cone safety queries answered from the verdict frontiers
-    /// without running a χ engine; a rung the frontiers settle counts
-    /// one hit per cone it consulted.
+    /// Per-cone safety queries answered from the class verdict
+    /// frontiers without running a χ engine; a rung the frontiers settle
+    /// counts one hit per cone it consulted, and a verdict proved on an
+    /// isomorphic cone counts as a hit.
     pub cache_hits: usize,
     /// Always 0: every batch runs on the calling thread. Kept because
     /// `benchmark/src/batch.rs` reads it.
@@ -189,29 +196,26 @@ impl Approx2Result {
     }
 }
 
-/// One output's standalone validation cone: a private network, delay
-/// table and support mask, so a probe's χ engine covers just that
-/// cone.
+/// One output's validation cone: its canonical
+/// [`ConeSlice`](crate::ConeSlice) network and delay table, so a
+/// probe's χ engine covers just that cone.
 struct Cone {
-    /// The cone as its own network (inputs = the original PIs feeding
-    /// it).
+    /// The canonical cone network.
     net: Network,
     /// The root output inside `net`.
     out: NodeId,
-    /// Delays copied from the caller's model (cone node ids).
+    /// Delays by canonical node
+    /// ([`ConeSlice::delays`](crate::ConeSlice::delays)).
     delays: TableDelay,
-    /// Original input positions, in `net.inputs()` order.
+    /// Original input positions in canonical input order: the order of
+    /// the cone's projections.
     input_pos: Vec<usize>,
-    /// Support bitmask over original input positions.
-    mask: Vec<u64>,
+    /// Index of the cone's descriptor among the search's distinct
+    /// descriptors: isomorphic cones share a class, and so a verdict
+    /// frontier.
+    class: usize,
     /// Required time at this output.
     required: Time,
-}
-
-impl Cone {
-    fn supports(&self, input_pos: usize) -> bool {
-        (self.mask[input_pos / 64] >> (input_pos % 64)) & 1 == 1
-    }
 }
 
 /// One unit of oracle work in a round: validate `rungs.len()` raises
@@ -230,7 +234,7 @@ struct Batch {
 }
 
 /// Why a batch, or a round, left rungs unanswered. Verdicts themselves
-/// land in the cone frontiers and in [`Search::round_failed`].
+/// land in the class frontiers and in [`Search::round_failed`].
 #[derive(Default)]
 struct Cut {
     /// Governor interrupt that must stop the whole search, if any.
@@ -257,7 +261,7 @@ fn order_round(batches: &mut [Batch], cone_size: impl Fn(usize) -> usize, calls:
     }
 }
 
-/// What the per-cone frontiers know about one rung (see
+/// What the class frontiers know about one rung (see
 /// [`Search::lookup_rung`]).
 enum RungLookup {
     /// Unsafe by one cone's verdict, or safe by every relevant cone's.
@@ -270,6 +274,9 @@ enum RungLookup {
 /// counts.
 struct Search<'a> {
     cones: Vec<Cone>,
+    /// Per original input position, the cones reading it, in cone
+    /// order, each with the input's position in its projection.
+    readers: Vec<Vec<(usize, usize)>>,
     options: Approx2Options,
     /// The caller's budget, polled between rounds and at batch entry;
     /// its deadline is installed into every χ engine so a single long
@@ -369,9 +376,9 @@ impl Search<'_> {
     /// One oracle call for rung `variant` of `batch` at `proj`. Counts
     /// it against the oracle-call cap, evaluates the `approx2::cone`
     /// fault-injection site, runs [`Search::verdict`] under
-    /// `catch_unwind` and lands the verdict in the cone's frontier. A
-    /// node-capacity verdict is deterministic and a panic reads
-    /// conservatively, so both are stored as unsafe. Returns `None`,
+    /// `catch_unwind` and lands the verdict in the frontier of the
+    /// cone's class. A node-capacity verdict is deterministic and a
+    /// panic reads conservatively, so both are stored as unsafe. Returns `None`,
     /// with `cut` saying why, when the cap is spent or a deadline,
     /// cancellation or memory stop interrupted the probe; that is not
     /// a fact about the cone, so nothing is stored.
@@ -431,13 +438,14 @@ impl Search<'_> {
                 false
             }
         };
-        self.frontiers.insert(batch.cone, proj, safe);
+        self.frontiers
+            .insert(self.cones[batch.cone].class, proj, safe);
         Some(safe)
     }
 
     /// Runs one batch. A rung the round already disproved is skipped,
-    /// one the cone's frontier answers costs no oracle call, and every
-    /// other gets one [`Search::probe`]. Unsafe verdicts set the rung's
+    /// one the frontier of the cone's class answers costs no oracle
+    /// call, and every other gets one [`Search::probe`]. Unsafe verdicts set the rung's
     /// bit in [`Search::round_failed`].
     fn execute_batch(&mut self, batch: &Batch) -> Cut {
         let mut cut = Cut {
@@ -455,9 +463,10 @@ impl Search<'_> {
             }
             let mut proj = batch.proj.clone();
             proj[batch.vary] = value;
-            // An earlier rung of this batch may already settle this one
-            // (an unsafe lower rung dominates it).
-            let safe = match self.frontiers.query(batch.cone, &proj) {
+            // An earlier rung of this batch (an unsafe lower rung
+            // dominates it), or an earlier batch of the round on an
+            // isomorphic cone, may already settle this one.
+            let safe = match self.frontiers.query(self.cones[batch.cone].class, &proj) {
                 Some(safe) => Some(safe),
                 None => self.probe(batch, variant, &proj, &mut engine, &mut cut),
             };
@@ -469,18 +478,16 @@ impl Search<'_> {
     }
 
     /// Answers raising coordinate `i` of the safe point `base` to `rung`
-    /// from the per-cone frontiers, asking the cones that support `i` in
-    /// cone order and stopping at the first unsafe one (every other
-    /// cone's projection is `base`'s, known safe).
+    /// from the class frontiers, asking the cones that read `i` in cone
+    /// order and stopping at the first unsafe one (every other cone's
+    /// projection is `base`'s, known safe).
     fn lookup_rung(&mut self, base: &[Time], i: usize, rung: Time) -> RungLookup {
         let mut open = Vec::new();
         let raised = |&p: &usize| if p == i { rung } else { base[p] };
-        for (c, cone) in self.cones.iter().enumerate() {
-            if !cone.supports(i) {
-                continue;
-            }
+        for &(c, _) in &self.readers[i] {
+            let cone = &self.cones[c];
             let proj: Vec<Time> = cone.input_pos.iter().map(raised).collect();
-            match self.frontiers.query(c, &proj) {
+            match self.frontiers.query(cone.class, &proj) {
                 Some(true) => {}
                 Some(false) => return RungLookup::Known(false),
                 None => open.push(c),
@@ -512,10 +519,10 @@ impl Search<'_> {
     }
 
     /// Safety verdicts for raising coordinate `i` of the **safe** point
-    /// `base` to each value in `rungs`. Only cones whose support
-    /// contains `i` are re-validated; every other cone inherits its
-    /// verdict from `base` (the incremental re-check). Returns `None`
-    /// when a budget stops evaluation.
+    /// `base` to each value in `rungs`. Only cones reading `i` are
+    /// re-validated; every other cone inherits its verdict from `base`
+    /// (the incremental re-check). Returns `None` when a budget stops
+    /// evaluation.
     fn probe_rungs(&mut self, base: &[Time], i: usize, rungs: &[Time]) -> Option<Vec<bool>> {
         assert!(rungs.len() <= 64, "round bitmask width");
         if let Err(e) = self.budget.check() {
@@ -547,7 +554,7 @@ impl Search<'_> {
             // One batch per cone, in cone-index order, carrying every
             // rung that still needs this cone's verdict.
             let mut batches: Vec<Batch> = Vec::new();
-            for c in 0..self.cones.len() {
+            for &(c, vary) in &self.readers[i] {
                 let pending: Vec<(usize, Time)> = (0..rungs.len())
                     .filter(|&k| unresolved[k].contains(&c))
                     .map(|k| (k, rungs[k]))
@@ -555,11 +562,6 @@ impl Search<'_> {
                 if pending.is_empty() {
                     continue;
                 }
-                let vary = self.cones[c]
-                    .input_pos
-                    .iter()
-                    .position(|&p| p == i)
-                    .expect("cone supports the raised coordinate");
                 batches.push(Batch {
                     cone: c,
                     vary,
@@ -713,7 +715,8 @@ impl Search<'_> {
 /// minimum is the topological required time; `∞` is appended when
 /// [`Approx2Options::allow_never`] is set. See the module docs for the
 /// oracle architecture (per-cone engines, rounds run one batch after
-/// another in the warm-up order, per-cone dominance frontiers).
+/// another in the warm-up order, one dominance frontier per class of
+/// isomorphic cones).
 ///
 /// # Panics
 ///
@@ -792,54 +795,45 @@ pub fn approx2_required_times_governed<D: DelayModel>(
         })
         .collect();
 
-    // Input positions in each output's transitive fanin cone.
-    let input_pos_of: FxHashMap<usize, usize> = net
-        .inputs()
-        .iter()
-        .enumerate()
-        .map(|(pos, id)| (id.index(), pos))
-        .collect();
-    let masks = net.output_support_masks();
-    // One standalone validation cone per finite-required output
-    // (∞-required outputs constrain nothing).
-    let cones: Vec<Cone> = net
-        .outputs()
-        .iter()
-        .enumerate()
-        .filter(|&(oi, _)| !output_required[oi].is_inf())
-        .map(|(oi, &o)| {
-            let (cnet, map) = net.extract_cone(&[o]);
-            let rev: FxHashMap<usize, usize> = map
-                .iter()
-                .map(|(old, new)| (new.index(), old.index()))
-                .collect();
-            let input_pos: Vec<usize> = cnet
-                .inputs()
-                .iter()
-                .map(|nid| input_pos_of[&rev[&nid.index()]])
-                .collect();
-            let mut delays = TableDelay::with_default(&cnet, 0);
-            for (old, new) in &map {
-                delays.set(*new, model.delay(net, *old));
-            }
+    // One canonical validation cone per finite-required output
+    // (∞-required outputs constrain nothing), classed by descriptor.
+    // Descriptors come from the caller's netlist, so they keep the
+    // default, collision-resistant hasher; they are dropped before the
+    // search starts.
+    let mut classes: HashMap<String, usize> = HashMap::new();
+    let cones: Vec<Cone> = slice_cones(net, model, output_required)
+        .into_iter()
+        .filter(|s| !s.req.is_inf())
+        .map(|s| {
+            let delays = s.delays();
+            let next = classes.len();
             Cone {
-                out: map[&o],
-                net: cnet,
+                out: s.net.outputs()[0],
+                net: s.net,
                 delays,
-                input_pos,
-                mask: masks[oi].clone(),
-                required: output_required[oi],
+                input_pos: s.inputs,
+                class: *classes.entry(s.descriptor).or_insert(next),
+                required: s.req,
             }
         })
         .collect();
+    let frontiers = ConeFrontiers::new(classes.len());
+    drop(classes);
+    let mut readers = vec![Vec::new(); r_bottom.len()];
+    for (c, cone) in cones.iter().enumerate() {
+        for (at, &p) in cone.input_pos.iter().enumerate() {
+            readers[p].push((c, at));
+        }
+    }
 
     let n_cones = cones.len();
     let mut search = Search {
         cones,
+        readers,
         options,
         budget,
         started,
-        frontiers: ConeFrontiers::new(n_cones),
+        frontiers,
         candidates,
         oracle_calls: 0,
         batches: 0,
@@ -852,11 +846,11 @@ pub fn approx2_required_times_governed<D: DelayModel>(
     };
 
     // The bottom is safe by construction (topological analysis is
-    // conservative); seed every cone's frontier so a conflict budget
+    // conservative); seed every cone's projection so a conflict budget
     // cannot make the search reject its own starting point.
     for c in 0..n_cones {
         let proj = search.project(c, &r_bottom);
-        search.frontiers.insert(c, &proj, true);
+        search.frontiers.insert(search.cones[c].class, &proj, true);
     }
 
     let maximal = if options.max_solutions <= 1 {

@@ -79,6 +79,16 @@ impl ConeSlice {
             + self.net.node_count() * PER_NODE
             + self.inputs.len() * std::mem::size_of::<usize>()) as u64
     }
+
+    /// The cone's delay table over its canonical nodes, from
+    /// [`ConeSlice::ticks`].
+    pub fn delays(&self) -> TableDelay {
+        let mut model = TableDelay::with_default(&self.net, 0);
+        for (idx, &t) in self.ticks.iter().enumerate() {
+            model.set(NodeId::from_index(idx), t);
+        }
+        model
+    }
 }
 
 /// Truth-table bits as hex nibbles, minterm 0 in the lowest bit.
@@ -169,7 +179,7 @@ fn slice_one<D: DelayModel>(
                 cone.add_input(format!("c{idx}"))
                     .expect("fresh canonical name")
             }
-            NodeFunc::Gate { table, .. } => {
+            NodeFunc::Gate { table, kind } => {
                 let t = model.delay(net, id);
                 descriptor.push_str(&format!(
                     "g {} {} {}",
@@ -187,8 +197,13 @@ fn slice_one<D: DelayModel>(
                     .collect();
                 descriptor.push('\n');
                 ticks.push(t);
-                cone.add_table(format!("c{idx}"), table.clone(), &fanins)
-                    .expect("canonical rebuild preserves validity")
+                // A library gate stays one: its kind gives the χ
+                // encoders its prime covers without Quine–McCluskey.
+                match kind {
+                    Some(k) => cone.add_gate(format!("c{idx}"), *k, &fanins),
+                    None => cone.add_table(format!("c{idx}"), table.clone(), &fanins),
+                }
+                .expect("canonical rebuild preserves validity")
             }
         };
         map.insert(id, new);
@@ -218,10 +233,7 @@ pub fn analyze_cone(
     requested: Verdict,
     options: &SessionOptions,
 ) -> Result<Answer, AnalysisError> {
-    let mut model = TableDelay::with_default(&slice.net, 1);
-    for (idx, &t) in slice.ticks.iter().enumerate() {
-        model.set(NodeId::from_index(idx), t);
-    }
+    let model = slice.delays();
     Ok(run_with_fallback(&slice.net, &model, &[slice.req], requested, options)?.digest())
 }
 
@@ -482,6 +494,52 @@ mod tests {
             splice(&net, &UnitDelay, &req, Verdict::Approx2, &slices, &verdicts).encode_fields()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn canonical_cones_keep_library_gate_kinds() {
+        let mut net = Network::new("kinds");
+        let a = net.add_input("a").unwrap();
+        let b = net.add_input("b").unwrap();
+        let s = net.add_input("s").unwrap();
+        let x = net.add_gate("x", GateKind::Xor, &[a, b]).unwrap();
+        let t = net
+            .add_table("t", GateKind::Nand.truth_table(2), &[a, x])
+            .unwrap();
+        let m = net.add_gate("m", GateKind::Mux, &[s, x, t]).unwrap();
+        net.mark_output(m);
+        let kinds = |n: &Network| -> Vec<Option<GateKind>> {
+            n.node_ids()
+                .filter_map(|id| match n.node(id).func {
+                    NodeFunc::Gate { kind, .. } => Some(kind),
+                    NodeFunc::Input => None,
+                })
+                .collect()
+        };
+        let req = [Time::new(3)];
+        let slice = &slice_cones(&net, &UnitDelay, &req)[0];
+        // Canonical order: s, a, b, x, t, m. The table gate stays one.
+        assert_eq!(
+            kinds(&slice.net),
+            [Some(GateKind::Xor), None, Some(GateKind::Mux)]
+        );
+        // Kinds never enter the descriptor: the same cone built from
+        // tables alone has the same one.
+        let mut tables = Network::new("tables");
+        for id in net.node_ids() {
+            let n = net.node(id);
+            match &n.func {
+                NodeFunc::Input => tables.add_input(n.name.clone()),
+                NodeFunc::Gate { table, .. } => {
+                    tables.add_table(n.name.clone(), table.clone(), &n.fanins)
+                }
+            }
+            .unwrap();
+        }
+        tables.mark_output(m);
+        let plain = &slice_cones(&tables, &UnitDelay, &req)[0];
+        assert_eq!(kinds(&plain.net), [None, None, None]);
+        assert_eq!(plain.descriptor, slice.descriptor);
     }
 
     /// Serve's cone cache keys verdicts by these, on disk too.

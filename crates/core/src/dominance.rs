@@ -13,15 +13,17 @@
 //! any dominated/dominating query without touching a χ engine.
 //! Incomparable queries miss.
 //!
-//! The §4.3 oracle keeps one such frontier per output cone, over that
-//! cone's projection ([`ConeFrontiers`]), and answers every
-//! whole-vector question from them: a rung is unsafe once one cone's
-//! projection is, safe once every cone's is. Rotated lattice climbs,
-//! whose restarts re-traverse the region below an already-discovered
-//! maximal point, become nearly all per-cone hits. [`ConeFrontiers`]
-//! counts the hits, charges the stored points to the memory meter's
-//! `Stripes` account and sheds them under soft memory pressure
-//! ([`ConeFrontiers::reclaim`]).
+//! The §4.3 oracle keeps one such frontier per class of isomorphic
+//! output cones (cones with equal canonical descriptors), over the
+//! cones' projections in canonical input order ([`ConeFrontiers`]),
+//! and answers every whole-vector question from them: a rung is unsafe
+//! once one cone's projection is, safe once every cone's is. A verdict
+//! proved on one cone answers every cone of its class at the same
+//! projection, and rotated lattice climbs, whose restarts re-traverse
+//! the region below an already-discovered maximal point, become nearly
+//! all hits. [`ConeFrontiers`] counts the hits, charges the stored
+//! points to the memory meter's `Stripes` account and sheds them under
+//! soft memory pressure ([`ConeFrontiers::reclaim`]).
 
 use xrta_robust::mem::Subsystem;
 use xrta_timing::Time;
@@ -95,11 +97,11 @@ impl DominanceCache {
     }
 }
 
-/// The per-cone verdict frontiers of one §4.3 search: one
-/// [`DominanceCache`] per cone, by cone index, plus a hit count and the
-/// bytes charged to the memory meter. See the module docs.
+/// The verdict frontiers of one §4.3 search: one [`DominanceCache`]
+/// per cone class, by class index, plus a hit count and the bytes
+/// charged to the memory meter. See the module docs.
 pub struct ConeFrontiers {
-    cones: Vec<DominanceCache>,
+    classes: Vec<DominanceCache>,
     hits: usize,
     /// Bytes charged to the process meter's `Stripes` account for the
     /// stored points (estimate: per-point base plus the projection
@@ -116,29 +118,29 @@ const ENTRY_BASE_BYTES: u64 = 64;
 const RECLAIM_FLOOR_BYTES: u64 = 1 << 20;
 
 impl ConeFrontiers {
-    /// Creates empty frontiers for `cones` cones.
-    pub fn new(cones: usize) -> Self {
+    /// Creates empty frontiers for `classes` cone classes.
+    pub fn new(classes: usize) -> Self {
         ConeFrontiers {
-            cones: vec![DominanceCache::default(); cones],
+            classes: vec![DominanceCache::default(); classes],
             hits: 0,
             bytes: 0,
         }
     }
 
-    /// Answers `(cone, proj)` from the cone's frontier, if it can,
+    /// Answers `(class, proj)` from the class's frontier, if it can,
     /// counting a hit when it does.
-    pub fn query(&mut self, cone: usize, proj: &[Time]) -> Option<bool> {
-        let verdict = self.cones[cone].peek(proj);
+    pub fn query(&mut self, class: usize, proj: &[Time]) -> Option<bool> {
+        let verdict = self.classes[class].peek(proj);
         self.hits += usize::from(verdict.is_some());
         verdict
     }
 
-    /// Records an oracle verdict for `(cone, proj)`. Only the net
+    /// Records an oracle verdict for `(class, proj)`. Only the net
     /// change in stored points is charged to the meter: implied
     /// verdicts add nothing and evicted points are released.
-    pub fn insert(&mut self, cone: usize, proj: &[Time], safe: bool) {
+    pub fn insert(&mut self, class: usize, proj: &[Time], safe: bool) {
         let point_bytes = ENTRY_BASE_BYTES + std::mem::size_of_val(proj) as u64;
-        let stored = self.cones[cone].insert(proj, safe);
+        let stored = self.classes[class].insert(proj, safe);
         let delta = point_bytes * stored.unsigned_abs() as u64;
         let meter = xrta_robust::mem::global();
         if stored > 0 {
@@ -164,7 +166,7 @@ impl ConeFrontiers {
         if self.bytes < RECLAIM_FLOOR_BYTES {
             return 0;
         }
-        self.cones.fill(DominanceCache::default());
+        self.classes.fill(DominanceCache::default());
         let freed = std::mem::take(&mut self.bytes);
         xrta_robust::mem::global().release(Subsystem::Stripes, freed);
         freed

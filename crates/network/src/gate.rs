@@ -123,7 +123,19 @@ impl GateKind {
                     neg: 1 << i,
                 })
                 .collect(),
-            GateKind::Xor | GateKind::Xnor => self.truth_table(arity).primes(),
+            // No two on-set minterms of a parity function are adjacent,
+            // so each one is prime. Ascending minterm order is the order
+            // Quine–McCluskey returns them in.
+            GateKind::Xor | GateKind::Xnor => {
+                let odd = self == GateKind::Xor;
+                (0..=all)
+                    .filter(|m| (m.count_ones() % 2 == 1) == odd)
+                    .map(|m| Cube {
+                        pos: m,
+                        neg: !m & all,
+                    })
+                    .collect()
+            }
             GateKind::Mux => vec![
                 // s·d1, ¬s·d0, d0·d1 (the consensus term is also prime)
                 Cube { pos: 0b101, neg: 0 },
@@ -235,6 +247,19 @@ mod tests {
             fastc.sort();
             slowc.sort();
             assert_eq!(fastc, slowc, "{kind} complement primes");
+        }
+        // Parity covers come in Quine–McCluskey's own order, so the χ
+        // CNFs and BDDs built from them are built in the same order.
+        for kind in [GateKind::Xor, GateKind::Xnor] {
+            for arity in 1..=8 {
+                let tt = kind.truth_table(arity);
+                assert_eq!(kind.primes(arity), tt.primes(), "{kind}/{arity} primes");
+                assert_eq!(
+                    kind.primes_of_complement(arity),
+                    tt.primes_of_complement(),
+                    "{kind}/{arity} complement primes"
+                );
+            }
         }
     }
 

@@ -420,38 +420,6 @@ impl Network {
             .collect()
     }
 
-    /// Transitive input support of `roots` as a bitmask over primary
-    /// input *positions*: bit `p` (word `p / 64`, bit `p % 64`) is set
-    /// when `inputs()[p]` reaches some root. One mask per call; use
-    /// [`Network::output_support_masks`] for all outputs at once.
-    pub fn input_support_mask(&self, roots: &[NodeId]) -> Vec<u64> {
-        let input_pos: std::collections::HashMap<usize, usize> = self
-            .inputs
-            .iter()
-            .enumerate()
-            .map(|(pos, id)| (id.index(), pos))
-            .collect();
-        let words = self.inputs.len().div_ceil(64);
-        let mut mask = vec![0u64; words];
-        for id in self.transitive_fanin(roots) {
-            if let Some(&p) = input_pos.get(&id.index()) {
-                mask[p / 64] |= 1 << (p % 64);
-            }
-        }
-        mask
-    }
-
-    /// Input-support masks of every primary output (aligned with
-    /// `outputs()`), in the [`Network::input_support_mask`] encoding.
-    /// Computed once per network, these let incremental analyses skip
-    /// outputs unaffected by a change to one input.
-    pub fn output_support_masks(&self) -> Vec<Vec<u64>> {
-        self.outputs
-            .iter()
-            .map(|&o| self.input_support_mask(&[o]))
-            .collect()
-    }
-
     /// Transitive fanout cone of `roots` (including the roots).
     pub fn transitive_fanout(&self, roots: &[NodeId]) -> Vec<NodeId> {
         let fanouts = self.fanouts();

@@ -371,19 +371,21 @@ wait "$shard1_pid" || true
 rm -rf "$cdir"
 
 # Same-search gate: the §4.3 climb is deterministic, so its per-row
-# counts must equal the rows of the checked-in BENCH_reqtime.json. A
-# change that alters the search must regenerate that report and say
-# why. C6288 is left out: it stops at its deadline, so its counts
-# depend on the host's speed.
+# counts and the digest of its maximal points must equal the rows of
+# the checked-in BENCH_reqtime.json. A change that alters the search
+# must regenerate that report and say why; the digest shows whether
+# the answers held. C6288 is left out: it stops at its deadline, so
+# its counts depend on the host's speed.
 echo "==> same-search gate: table2 counts match BENCH_reqtime.json"
 qdir="/tmp/xrta-ci-search-$$"
 mkdir -p "$qdir"
 search_rows="C432 C499 C880 C1355 C1908 C2670 C3540 C5315 C7552"
 ./target/release/table2 --rows "${search_rows// /,}" --jobs 1 \
     --budget-secs 30 --json "$qdir/t1.json" > /dev/null
-# "circuit oracle_calls batches batched_probes" of one circuit row.
+# "circuit oracle_calls batches batched_probes maximal_fnv" of one
+# circuit row.
 search_counts() {
-    grep '"circuit"' "$1" | sed -n 's/.*"circuit": "\([^"]*\)".*"oracle_calls": \([0-9]*\),.*"batches": \([0-9]*\), "batched_probes": \([0-9]*\),.*/\1 \2 \3 \4/p' \
+    grep '"circuit"' "$1" | sed -n 's/.*"circuit": "\([^"]*\)".*"oracle_calls": \([0-9]*\),.*"batches": \([0-9]*\), "batched_probes": \([0-9]*\), "maximal_fnv": "\([0-9a-f]*\)",.*/\1 \2 \3 \4 \5/p' \
         | grep "^$2 " | head -1 || true
 }
 for row in $search_rows; do
@@ -394,7 +396,7 @@ for row in $search_rows; do
         exit 1
     fi
 done
-echo "    oracle_calls, batches and batched_probes match on all nine rows"
+echo "    oracle_calls, batches, batched_probes and maximal_fnv match on all nine rows"
 rm -rf "$qdir"
 
 # Table 2's C6288 row must read "Yes", as in the paper: the clamped χ
